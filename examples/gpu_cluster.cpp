@@ -100,6 +100,6 @@ int main(int argc, char** argv) {
       "\nTakeaway: the whole reconstruction needs a single information\n"
       "exchange per network node plus a logarithmic-depth sort — no\n"
       "iterative network-wide flooding (contrast with AMP, see\n"
-      "bench/abl7_distributed_cost).\n");
+      "`npd_run --scenarios abl7`).\n");
   return 0;
 }

@@ -81,7 +81,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nNotes: (1) the two theory columns differ because the constant\n"
       "printed in Theorem 1's linear case drops a zeta relative to the\n"
-      "derivation in Section IV-C (Equations 16-17) — see DESIGN.md.\n"
+      "derivation in Section IV-C (Equations 16-17) — see core/theory.hpp.\n"
       "(2) At this small n the asymptotic constants undershoot for small\n"
       "zeta (q ~ k/n sits right at the regime boundary); what the theorem\n"
       "predicts — and the measurements show — is the flat-then-linear\n"

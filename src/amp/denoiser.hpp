@@ -12,7 +12,7 @@
 ///   η'(y; τ²) = η(1−η)/τ².
 ///
 /// The soft-threshold denoiser (LASSO-AMP of Donoho-Maleki-Montanari
-/// [19, 20]) is included for the denoiser ablation (bench abl6).
+/// [19, 20]) is included for the denoiser ablation (scenario `abl6`).
 
 #include <memory>
 #include <string>

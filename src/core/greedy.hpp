@@ -6,7 +6,7 @@
 ///
 /// The distributed execution (query broadcast + sorting network) lives in
 /// `netsim/distributed_greedy.hpp` and is proven bit-identical to this
-/// implementation by the integration tests; benches use this fast path.
+/// implementation by the integration tests; scenarios use this fast path.
 
 #include <span>
 #include <vector>

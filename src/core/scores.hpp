@@ -38,7 +38,7 @@ namespace npd::core {
 ///
 /// Without this correction the per-query offset q·Γ couples with the
 /// Θ(√m) fluctuations of Δ*_i and dominates the score noise at finite n
-/// (see bench/abl3 and DESIGN.md §5).
+/// (the `abl3` scenario measures the effect).
 struct Centering {
   /// Additive offset per pool slot (q for the bit-flip channel).
   double offset_per_slot = 0.0;

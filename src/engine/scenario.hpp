@@ -14,7 +14,7 @@
 ///     every metric through `harness::stats`).
 ///
 /// Scenarios are registered by name in a `ScenarioRegistry`; the
-/// `npd_run` driver (and the ported bench binaries) select them with
+/// `npd_run` driver (and `npd_serve`) select them with
 /// `--scenarios a,b,c` and override parameters with
 /// `--params scenario.key=value`.
 

@@ -55,18 +55,6 @@ std::vector<RequiredQueriesRow> required_queries_sweep(
   return rows;
 }
 
-const char* algorithm_name(Algorithm algorithm) {
-  switch (algorithm) {
-    case Algorithm::Greedy:
-      return "greedy";
-    case Algorithm::Amp:
-      return "amp";
-    case Algorithm::TwoStage:
-      return "two-stage";
-  }
-  return "?";
-}
-
 std::vector<SuccessPoint> success_sweep(Index n, Index k,
                                         const std::vector<Index>& ms,
                                         Index reps,
@@ -119,63 +107,6 @@ std::vector<SuccessPoint> success_sweep(Index n, Index k,
       outcomes[static_cast<std::size_t>(rep)] = RepOutcome{
           .success = core::exact_success(estimate, instance.truth),
           .overlap = core::overlap(estimate, instance.truth)};
-    });
-
-    double successes = 0.0;
-    double overlap_sum = 0.0;
-    for (const RepOutcome& outcome : outcomes) {
-      successes += outcome.success ? 1.0 : 0.0;
-      overlap_sum += outcome.overlap;
-    }
-    point.success_rate = successes / static_cast<double>(reps);
-    point.mean_overlap = overlap_sum / static_cast<double>(reps);
-    points.push_back(point);
-  }
-  return points;
-}
-
-std::vector<SuccessPoint> success_sweep(Index n, Index k,
-                                        const std::vector<Index>& ms,
-                                        Index reps,
-                                        const DesignFactory& design_of_n,
-                                        const ChannelFactory& channel_factory,
-                                        const solve::Reconstructor& solver,
-                                        std::uint64_t base_seed,
-                                        Index threads) {
-  NPD_CHECK(reps >= 1);
-  const pooling::QueryDesign design = design_of_n(n);
-  const auto channel = channel_factory(n, k);
-  NPD_CHECK_MSG(channel != nullptr, "channel factory returned null");
-
-  std::vector<SuccessPoint> points;
-  points.reserve(ms.size());
-  const rand::Rng root(base_seed);
-
-  for (std::size_t mi = 0; mi < ms.size(); ++mi) {
-    const Index m = ms[mi];
-    NPD_CHECK(m >= 1);
-    SuccessPoint point;
-    point.m = m;
-    point.reps = reps;
-
-    struct RepOutcome {
-      bool success = false;
-      double overlap = 0.0;
-    };
-    std::vector<RepOutcome> outcomes(static_cast<std::size_t>(reps));
-    parallel_for(reps, threads, [&](Index rep) {
-      // Same per-rep stream derivation as the enum overload, so the
-      // registered wrappers of the legacy algorithms reproduce it
-      // bit for bit.
-      rand::Rng rng = root.derive(static_cast<std::uint64_t>(mi) * 100'000 +
-                                  static_cast<std::uint64_t>(rep));
-      const core::Instance instance =
-          core::make_instance(n, k, m, design, *channel, rng);
-      const solve::SolveResult result =
-          solver.solve(instance, *channel, rng);
-      outcomes[static_cast<std::size_t>(rep)] = RepOutcome{
-          .success = core::exact_success(result.estimate, instance.truth),
-          .overlap = core::overlap(result.estimate, instance.truth)};
     });
 
     double successes = 0.0;

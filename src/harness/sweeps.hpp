@@ -17,7 +17,6 @@
 #include "harness/stats.hpp"
 #include "noise/channel.hpp"
 #include "pooling/query_design.hpp"
-#include "solve/reconstructor.hpp"
 
 namespace npd::harness {
 
@@ -64,8 +63,6 @@ enum class Algorithm {
   TwoStage,   ///< greedy + local correction (conclusion's open question)
 };
 
-[[nodiscard]] const char* algorithm_name(Algorithm algorithm);
-
 /// One point of a success-rate / overlap curve.
 struct SuccessPoint {
   Index m = 0;
@@ -79,29 +76,14 @@ struct SuccessPoint {
 /// success rate (Figure 6) and the mean overlap (Figure 7).
 /// `threads` as in `required_queries_sweep`.
 ///
-/// Deprecated in favor of the solver-generic overload below (the enum
-/// only covers three algorithms); kept as the reference the overload is
-/// pinned against.
+/// The reference loop the engine's fixed-m scenarios are pinned against
+/// (`EngineAgreementTest` in tests/engine_test.cpp): its per-rep seed
+/// derivation is the one those scenarios replicate.
 [[nodiscard]] std::vector<SuccessPoint> success_sweep(
     Index n, Index k, const std::vector<Index>& ms, Index reps,
     const DesignFactory& design_of_n, const ChannelFactory& channel_factory,
     Algorithm algorithm, std::uint64_t base_seed,
     const amp::AmpOptions& amp_options = {}, Index threads = 1);
-
-/// Solver-generic fixed-m sweep: the same protocol and per-rep seed
-/// derivation as the enum overload, but running any registered
-/// `solve::Reconstructor` — so `builtin_solvers().make("greedy")` (resp.
-/// "amp", "two_stage" with default options) reproduces the legacy sweep
-/// bit for bit on fixed-size designs (with/without replacement, where
-/// the solver's pool-size estimate equals `design.gamma` exactly; under
-/// the variable-size Bernoulli design channel-aware solvers center on
-/// the mean observed pool size instead of the design Γ), and every
-/// other registered solver gets Figure 6/7-style curves for free.
-[[nodiscard]] std::vector<SuccessPoint> success_sweep(
-    Index n, Index k, const std::vector<Index>& ms, Index reps,
-    const DesignFactory& design_of_n, const ChannelFactory& channel_factory,
-    const solve::Reconstructor& solver, std::uint64_t base_seed,
-    Index threads = 1);
 
 /// Log-spaced grid of n values from `lo` to `hi` with `points_per_decade`
 /// (rounded, deduplicated, ascending) — the x-axes of Figures 2-4.

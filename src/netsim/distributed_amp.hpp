@@ -17,7 +17,7 @@
 ///     nodes, which update their residuals with the Onsager term.
 ///
 /// That is 2·n·m messages per iteration — versus the greedy protocol's
-/// one-shot broadcast (bench/abl7 quantifies the gap).  The final
+/// one-shot broadcast (the `abl7` scenario quantifies the gap).  The final
 /// estimate is rounded to the k largest posterior scores with the same
 /// distributed sorting-network protocol as Algorithm 1
 /// (`run_distributed_topk`).

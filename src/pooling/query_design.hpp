@@ -6,7 +6,7 @@
 /// The paper's design (Section II): every query has size Γ = n/2 and picks
 /// its Γ agents **uniformly at random with replacement** — so the pooling
 /// graph is a bipartite *multigraph* and an agent can contribute to the
-/// same query result more than once.  For the ablation benches we also
+/// same query result more than once.  For the ablation scenarios we also
 /// support sampling without replacement (a simple random Γ-subset) — the
 /// design used by much of the classical group-testing literature.
 ///

@@ -55,7 +55,7 @@ Index hypergeometric(Rng& rng, Index population, Index successes,
   NPD_CHECK(draws >= 0 && draws <= population);
 
   // Sequential sampling: O(draws) per variate, which is fine at the sizes
-  // the tests and ablation benches use.
+  // the tests and ablation scenarios use.
   Index hits = 0;
   Index good = successes;
   Index remaining = population;

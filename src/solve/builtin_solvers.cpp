@@ -298,8 +298,8 @@ class DistAmpSolver final : public Reconstructor {
     const amp::BayesBernoulliDenoiser denoiser(problem.pi);
     // The distributed protocol runs a fixed budget (distributed
     // convergence detection would cost an aggregation tree per
-    // iteration); take it from a centralized reference run, like the
-    // legacy abl7 bench.
+    // iteration); take it from a centralized reference run, as the
+    // abl7 scenario does.
     const amp::AmpResult centralized =
         amp::run_amp(problem, denoiser, options_);
     netsim::DistributedAmpResult dist = netsim::run_distributed_amp(

@@ -110,7 +110,7 @@ void register_builtin_solvers(SolverRegistry& registry);
 
 /// The process-wide registry with the built-in roster pre-registered
 /// (constructed on first use; read-only afterwards).  Engine scenarios
-/// and bench helpers resolve `solver=<name>` parameters against it.
+/// resolve `solver=<name>` parameters against it.
 [[nodiscard]] const SolverRegistry& builtin_solvers();
 
 }  // namespace npd::solve

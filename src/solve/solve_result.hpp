@@ -5,7 +5,7 @@
 ///
 /// Before the unified API each solver had a bespoke result struct
 /// (`core::GreedyResult`, `core::TwoStageResult`, `amp::AmpResult`,
-/// `netsim::DistributedGreedyResult`, ...), so every bench and scenario
+/// `netsim::DistributedGreedyResult`, ...), so every experiment
 /// hand-wrote per-solver glue.  `SolveResult` is the common denominator:
 ///   * the hard estimate (always present, exactly k ones),
 ///   * soft per-agent scores when the algorithm produces them (centered

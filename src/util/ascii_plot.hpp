@@ -1,9 +1,9 @@
 #pragma once
 
 /// \file ascii_plot.hpp
-/// Terminal scatter plots — the bench binaries render the same series the
-/// paper plots, directly in the console, so the reproduced *shape* of
-/// each figure is visible without an external plotting step.
+/// Terminal scatter plots — render a series directly in the console, so
+/// the reproduced *shape* of a figure is visible without an external
+/// plotting step.
 ///
 /// Supports linear and logarithmic axes (the paper's Figures 2-5 are
 /// log-log, 6-7 linear) and multiple overlaid series with distinct

@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file cli.hpp
-/// A small command-line flag parser used by the bench binaries and the
-/// example applications.
+/// A small command-line flag parser used by the tools and the example
+/// applications.
 ///
 /// Supports `--name value`, `--name=value` and boolean switches
 /// (`--paper`).  Every flag must be registered before `parse()` so the
@@ -20,7 +20,7 @@ namespace npd {
 ///
 /// Usage:
 /// ```
-/// CliParser cli("fig2_zchannel", "Reproduces Figure 2.");
+/// CliParser cli("my_experiment", "Runs one experiment.");
 /// auto& reps  = cli.add_int("reps", 5, "repetitions per grid point");
 /// auto& paper = cli.add_flag("paper", "run at full paper scale");
 /// cli.parse(argc, argv);   // exits with code 0 on --help

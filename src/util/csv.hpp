@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file csv.hpp
-/// Tiny CSV emitter used by the bench binaries so every figure's data can
+/// Tiny CSV emitter used by the example applications so their data can
 /// be re-plotted outside this repository.
 
 #include <fstream>

@@ -12,7 +12,7 @@ namespace npd {
 enum class LogLevel { Debug = 0, Info = 1, Warn = 2, Error = 3 };
 
 /// Global log threshold (default Info).  Not thread-safe by design: the
-/// simulator is single-threaded and benches set this once at startup.
+/// simulator is single-threaded and programs set this once at startup.
 void set_log_level(LogLevel level);
 [[nodiscard]] LogLevel log_level();
 

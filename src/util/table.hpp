@@ -1,8 +1,8 @@
 #pragma once
 
 /// \file table.hpp
-/// Aligned console tables: how the bench binaries print the series the
-/// paper plots, so the reproduction output is human-readable directly.
+/// Aligned console tables: how the tools and examples print their
+/// summaries, so the output is human-readable directly.
 
 #include <string>
 #include <vector>

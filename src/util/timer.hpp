@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file timer.hpp
-/// Minimal steady-clock stopwatch used by the benchmark harness.
+/// Minimal steady-clock stopwatch used by the engine, the tools and the server.
 
 #include <chrono>
 

@@ -138,7 +138,8 @@ TEST(TheoryTest, LinearVerbatimFormDiffersOnlyForPositiveQ) {
   EXPECT_NEAR(channel_linear(1000, 0.1, 0.2, 0.0, 0.05, false),
               channel_linear(1000, 0.1, 0.2, 0.0, 0.05, true), kTol);
   // ... for q > 0 and small ζ the printed form multiplies the q term by ζ
-  // and is therefore *weaker* than the derivation (see DESIGN.md note):
+  // and is therefore *weaker* than the derivation (Equations 16-17; see
+  // the note on the linear bound in core/theory.hpp):
   // verbatim: (q + (1−p−q))·ζ = 0.08, derivation: q + (1−p−q)ζ = 0.17.
   EXPECT_LT(channel_linear(1000, 0.1, 0.2, 0.1, 0.05, true),
             channel_linear(1000, 0.1, 0.2, 0.1, 0.05, false));

@@ -2,7 +2,8 @@
 // JobQueue scheduler's determinism, the scenario registry round-trip
 // (register → list → run-by-name with parameter overrides), the run
 // report's deterministic core, and the agreement between the engine's
-// built-in scenarios and the legacy bench derivations they replicate.
+// built-in scenarios and the harness reference loops whose seed
+// derivations they replicate.
 
 #include <gtest/gtest.h>
 
@@ -353,9 +354,9 @@ TEST(EngineAgreementTest, Fig5CellsMatchLegacySweepDerivation) {
 }
 
 TEST(EngineAgreementTest, Abl7IsRepCountInvariant) {
-  // abl7's randomness is per-(seed, n) — the legacy binary's contract —
-  // so the scenario collapses to one job per cell and the aggregates
-  // are identical for every requested repetition count.
+  // abl7's randomness is per-(seed, n), so the scenario collapses to
+  // one job per cell and the aggregates are identical for every
+  // requested repetition count.
   const auto run = [](Index reps) {
     ScenarioRegistry registry;
     register_builtin_scenarios(registry);
@@ -389,7 +390,7 @@ TEST(EngineAgreementTest, Fig2CellsMatchLegacySweepDerivation) {
   // log_grid(100, 1000, 2) has 3 points; 3 Z-channel levels.
   ASSERT_EQ(cells.size(), 9u);
 
-  // Cell 0 is p = 0.1 at n = 100: the legacy bench ran
+  // Cell 0 is p = 0.1 at n = 100: the reference loop is
   // required_queries_sweep rooted at seed + uint64(p * 1000); recompute
   // through that path and compare the aggregates bit for bit.
   const auto rows = harness::required_queries_sweep(
@@ -425,7 +426,7 @@ TEST(EngineAgreementTest, Fig3CellsMatchLegacySweepDerivation) {
   // log_grid(100, 316, 2) has 2 points; series = {noiseless, lambda=1}.
   ASSERT_EQ(cells.size(), 4u);
 
-  // Cells 2..3 are the noisy series (lambda = 1): the legacy bench ran
+  // Cells 2..3 are the noisy series (lambda = 1): the reference loop is
   // required_queries_sweep rooted at seed + uint64(lambda * 977);
   // recompute through that path and compare the aggregates bit for bit.
   const auto rows = harness::required_queries_sweep(
@@ -459,7 +460,7 @@ TEST(EngineAgreementTest, Fig4CellsMatchLegacySweepDerivation) {
   const Json& cells = report.scenarios[0].aggregates.at("cells");
   ASSERT_EQ(cells.size(), 5u);  // 5 q levels x log_grid(100, 100, 2)
 
-  // Cell 0 is q = 0.1 at n = 100: the legacy bench ran a single-point
+  // Cell 0 is q = 0.1 at n = 100: the reference loop is a single-point
   // required_queries_sweep rooted at seed + uint64(-log10(q)*131) + n
   // with the 20x-theory cap and channel-aware centering; recompute
   // through that path and compare the aggregates bit for bit.
@@ -506,7 +507,7 @@ TEST(EngineAgreementTest, Fig6CellsMatchLegacySuccessSweep) {
   // 3 p levels x 2 solvers x ms {40, 80, 120}.
   ASSERT_EQ(cells.size(), 18u);
 
-  // The p = 0.1 series: the legacy bench ran success_sweep rooted at
+  // The p = 0.1 series: the reference loop is success_sweep rooted at
   // seed + uint64(p * 4051) — once per algorithm, same root.  The
   // engine's greedy series is cells 0..2, the AMP series cells 3..5.
   const Index n = 150;
@@ -560,7 +561,7 @@ TEST(EngineAgreementTest, Abl1CellsMatchLegacySweepDerivation) {
   const Json& cells = report.scenarios[0].aggregates.at("cells");
   ASSERT_EQ(cells.size(), 6u);  // the legacy fraction roster
 
-  // Cell 0 is fraction 0.05: the legacy bench ran a single-point
+  // Cell 0 is fraction 0.05: the reference loop is a single-point
   // required_queries_sweep over the with-replacement fractional design,
   // rooted at seed + uint64(fraction * 1000); recompute through that
   // path and compare the aggregates bit for bit.
@@ -735,7 +736,7 @@ TEST(EngineAgreementTest, Abl4CellsMatchLegacySuccessSweeps) {
   const Json& cells = report.scenarios[0].aggregates.at("cells");
   ASSERT_EQ(cells.size(), 6u);  // 3 solvers x ms {40, 80}
 
-  // The legacy bench ran three success_sweeps (greedy, two-stage, AMP)
+  // The reference is three success_sweeps (greedy, two-stage, AMP)
   // off the same base seed; recompute through that path per series.
   const Index n = 150;
   const Index k = pooling::sublinear_k(n, 0.25);
@@ -780,7 +781,7 @@ TEST(EngineAgreementTest, Abl5CellsMatchLegacySweepDerivation) {
   const Json& cells = report.scenarios[0].aggregates.at("cells");
   ASSERT_EQ(cells.size(), 11u);  // the legacy lambda roster
 
-  // Cell 1 is lambda = 1: the legacy bench ran a single-point
+  // Cell 1 is lambda = 1: the reference loop is a single-point
   // success_sweep rooted at seed + uint64(lambda * 97) at the fixed
   // m = ceil(2 * noisy-query bound); recompute through that path.
   const Index n = 150;
@@ -859,8 +860,8 @@ TEST(EngineAgreementTest, Abl6CellsMatchLegacyDenoiserVariants) {
       metrics.at("bayes_damped_success").at("mean").as_double(),
       run_variant(bayes, 0.7));
 
-  // The SE fixed point in the cell metadata replicates the legacy
-  // bench's deterministic computation.
+  // The SE fixed point in the cell metadata replicates the
+  // deterministic state-evolution computation.
   const double gamma_pool = static_cast<double>(n) / 2.0;
   const double entry_var = gamma_pool / static_cast<double>(n) *
                            (1.0 - 1.0 / static_cast<double>(n));

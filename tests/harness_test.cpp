@@ -338,11 +338,5 @@ TEST(SweepTest, SuccessSweepThreadsDeterministic) {
   }
 }
 
-TEST(SweepTest, AlgorithmNames) {
-  EXPECT_STREQ(algorithm_name(Algorithm::Greedy), "greedy");
-  EXPECT_STREQ(algorithm_name(Algorithm::Amp), "amp");
-  EXPECT_STREQ(algorithm_name(Algorithm::TwoStage), "two-stage");
-}
-
 }  // namespace
 }  // namespace npd::harness

@@ -1,9 +1,8 @@
 // Tests for the unified reconstruction API (src/solve): the registry
 // round-trip (register → list → construct-by-name with textual options),
 // the bit-identity pins between every registry-constructed solver and
-// its legacy free-function counterpart on the paper's channels, the
-// hard-error contract for unknown solver names/options, and the
-// solver-generic harness sweep.
+// its legacy free-function counterpart on the paper's channels, and the
+// hard-error contract for unknown solver names/options.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +16,6 @@
 #include "core/instance.hpp"
 #include "core/scores.hpp"
 #include "core/two_stage.hpp"
-#include "harness/sweeps.hpp"
 #include "netsim/distributed_greedy.hpp"
 #include "netsim/distributed_topk.hpp"
 #include "noise/channel.hpp"
@@ -249,29 +247,6 @@ TEST(SolverBitIdentityTest, DistAmpCarriesNetworkCost) {
   const amp::AmpResult centralized = amp::amp_reconstruct(
       instance, channel->linearization(60, 4, 30), options);
   EXPECT_EQ(result.estimate, centralized.estimate);
-}
-
-// --------------------------------------------------- solver-generic sweep
-
-TEST(SolverSweepTest, GenericSweepMatchesLegacyEnumSweep) {
-  const Index n = 120;
-  const Index k = pooling::sublinear_k(n, 0.25);
-  const std::vector<Index> ms{120, 200};
-  const auto design = [](Index nn) { return pooling::paper_design(nn); };
-  const auto channel = [](Index, Index) { return noise::make_z_channel(0.1); };
-
-  const auto legacy = harness::success_sweep(
-      n, k, ms, 3, design, channel, harness::Algorithm::Greedy, 77);
-  const auto solver = builtin_solvers().make("greedy");
-  const auto generic =
-      harness::success_sweep(n, k, ms, 3, design, channel, *solver, 77);
-
-  ASSERT_EQ(generic.size(), legacy.size());
-  for (std::size_t i = 0; i < generic.size(); ++i) {
-    EXPECT_EQ(generic[i].m, legacy[i].m);
-    EXPECT_EQ(generic[i].success_rate, legacy[i].success_rate);
-    EXPECT_EQ(generic[i].mean_overlap, legacy[i].mean_overlap);
-  }
 }
 
 // ------------------------------------------------------------ channel spec

@@ -48,7 +48,7 @@ const std::map<std::string, std::vector<std::string>>& direct_deps() {
       {"amp", {"core", "linalg", "noise", "util"}},
       {"netsim", {"amp", "core", "util"}},
       {"solve", {"amp", "core", "netsim", "noise", "pooling", "util"}},
-      {"harness", {"amp", "core", "noise", "pooling", "solve", "util"}},
+      {"harness", {"amp", "core", "noise", "pooling", "util"}},
       {"engine", {"harness", "netsim", "solve", "util"}},
       {"shard", {"engine", "util"}},
       {"serve", {"engine", "solve", "util"}},
