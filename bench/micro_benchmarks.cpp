@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels: query
-// sampling, incremental score updates, top-k selection, sorting-network
-// generation/application, dense matvec (the AMP inner loop), channel
-// measurement, and the end-to-end required-queries protocol at small n.
+// sampling, pooling-graph construction, incremental score updates, top-k
+// selection, sorting-network generation/application, dense matvec (the
+// AMP inner loop), channel measurement, and the end-to-end
+// required-queries protocol at small n.
 
 #include <benchmark/benchmark.h>
 
@@ -19,6 +20,7 @@
 #include "pooling/pooling_graph.hpp"
 #include "pooling/query_design.hpp"
 #include "rand/rng.hpp"
+#include "solve/design_spec.hpp"
 
 namespace {
 
@@ -35,6 +37,26 @@ void BM_SampleQuery(benchmark::State& state) {
                           design.gamma);
 }
 BENCHMARK(BM_SampleQuery)->Arg(1000)->Arg(10000);
+
+// The whole pooling layer's graph build (draws, per-query dedup, agent
+// CSR) at n = 1000, m = 300, for a `design=` spec; items are edges.
+void BM_BuildPoolingGraph(benchmark::State& state, const char* spec) {
+  const Index n = 1000;
+  const Index m = 300;
+  const pooling::GraphDesign design =
+      solve::parse_design_spec(spec).instantiate(n);
+  rand::Rng rng(9);
+  std::int64_t edges = 0;
+  for (auto _ : state) {
+    const pooling::PoolingGraph graph =
+        pooling::build_design_graph(n, m, design, rng);
+    edges += graph.num_edges();
+    benchmark::DoNotOptimize(graph.num_edges());
+  }
+  state.SetItemsProcessed(edges);
+}
+BENCHMARK_CAPTURE(BM_BuildPoolingGraph, paper, "paper");
+BENCHMARK_CAPTURE(BM_BuildPoolingGraph, regular6, "regular:6");
 
 void BM_ScoreStateApplyQuery(benchmark::State& state) {
   const auto n = static_cast<Index>(state.range(0));

@@ -1,6 +1,7 @@
 #include "pooling/pooling_graph.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 #include <stdexcept>
 
@@ -57,30 +58,86 @@ PoolingGraphBuilder::PoolingGraphBuilder(Index n) : n_(n) {
   NPD_CHECK_MSG(n > 0, "graph needs at least one agent");
   graph_.n_ = n;
   graph_.delta_.assign(static_cast<std::size_t>(n), 0);
+  count_.assign(static_cast<std::size_t>(n), 0);
+}
+
+void PoolingGraphBuilder::reserve(Index queries, Index edges) {
+  NPD_CHECK(queries >= 0 && edges >= 0);
+  const auto q = static_cast<std::size_t>(queries);
+  const auto e = static_cast<std::size_t>(edges);
+  graph_.query_offsets_.reserve(graph_.query_offsets_.size() + q);
+  graph_.query_agents_.reserve(graph_.query_agents_.size() + e);
+  graph_.distinct_offsets_.reserve(graph_.distinct_offsets_.size() + q);
+  graph_.distinct_agents_.reserve(graph_.distinct_agents_.size() + e);
+  graph_.distinct_counts_.reserve(graph_.distinct_counts_.size() + e);
 }
 
 Index PoolingGraphBuilder::add_query(std::span<const Index> sampled_agents) {
   NPD_CHECK_MSG(!sampled_agents.empty(), "query must sample at least one agent");
-
+  // Validate the whole query before touching any state, so a rejected
+  // query leaves the builder (and the all-zero counters) untouched.  One
+  // unsigned compare covers both ends of [0, n).
+  bool in_range = true;
   for (const Index agent : sampled_agents) {
-    NPD_CHECK_MSG(agent >= 0 && agent < n_, "agent id out of range");
-    graph_.query_agents_.push_back(agent);
-    ++graph_.delta_[static_cast<std::size_t>(agent)];
+    in_range &= static_cast<std::uint64_t>(agent) <
+                static_cast<std::uint64_t>(n_);
   }
+  NPD_CHECK_MSG(in_range, "agent id out of range");
+
+  graph_.query_agents_.insert(graph_.query_agents_.end(),
+                              sampled_agents.begin(), sampled_agents.end());
   graph_.query_offsets_.push_back(
       static_cast<Index>(graph_.query_agents_.size()));
 
-  // Deduplicate into (agent, multiplicity), sorted by agent id.
-  std::vector<Index> sorted(sampled_agents.begin(), sampled_agents.end());
-  std::sort(sorted.begin(), sorted.end());
-  for (std::size_t i = 0; i < sorted.size();) {
-    std::size_t run = i;
-    while (run < sorted.size() && sorted[run] == sorted[i]) {
-      ++run;
+  // Count multiplicities, recording each agent the first time it is seen
+  // (branch-free: the slot is always written, the cursor only advances
+  // on a first sighting).
+  first_seen_.resize(sampled_agents.size());
+  Index* const count = count_.data();
+  Index* const seen = first_seen_.data();
+  std::size_t distinct = 0;
+  for (const Index agent : sampled_agents) {
+    seen[distinct] = agent;
+    distinct += static_cast<std::size_t>(count[agent]++ == 0);
+  }
+
+  // Emit (agent, multiplicity) in ascending agent order, accumulating Δ_i
+  // and resetting each counter as it is read.
+  const std::size_t base = graph_.distinct_agents_.size();
+  Index* const delta = graph_.delta_.data();
+  if (distinct * 8 >= static_cast<std::size_t>(n_)) {
+    // Dense query: one branch-free scan over all n counters.  The output
+    // arrays get one slack slot, written by the trailing zero counters.
+    graph_.distinct_agents_.resize(base + distinct + 1);
+    graph_.distinct_counts_.resize(base + distinct + 1);
+    Index* const agents_out = graph_.distinct_agents_.data() + base;
+    Index* const counts_out = graph_.distinct_counts_.data() + base;
+    std::size_t w = 0;
+    for (Index agent = 0; agent < n_; ++agent) {
+      const Index c = count[agent];
+      count[agent] = 0;
+      delta[agent] += c;
+      agents_out[w] = agent;
+      counts_out[w] = c;
+      w += static_cast<std::size_t>(c != 0);
     }
-    graph_.distinct_agents_.push_back(sorted[i]);
-    graph_.distinct_counts_.push_back(static_cast<Index>(run - i));
-    i = run;
+    graph_.distinct_agents_.pop_back();
+    graph_.distinct_counts_.pop_back();
+  } else {
+    // Sparse query: sort only the distinct agents.
+    std::sort(seen, seen + distinct);
+    graph_.distinct_agents_.resize(base + distinct);
+    graph_.distinct_counts_.resize(base + distinct);
+    Index* const agents_out = graph_.distinct_agents_.data() + base;
+    Index* const counts_out = graph_.distinct_counts_.data() + base;
+    for (std::size_t i = 0; i < distinct; ++i) {
+      const Index agent = seen[i];
+      const Index c = count[agent];
+      count[agent] = 0;
+      delta[agent] += c;
+      agents_out[i] = agent;
+      counts_out[i] = c;
+    }
   }
   graph_.distinct_offsets_.push_back(
       static_cast<Index>(graph_.distinct_agents_.size()));
@@ -90,8 +147,8 @@ Index PoolingGraphBuilder::add_query(std::span<const Index> sampled_agents) {
 
 Index PoolingGraphBuilder::add_random_query(const QueryDesign& design,
                                             rand::Rng& rng) {
-  const auto sampled = sample_query(design, n_, rng);
-  return add_query(sampled);
+  sample_query_into(design, n_, rng, sample_);
+  return add_query(sample_);
 }
 
 Index PoolingGraphBuilder::num_queries_so_far() const {
@@ -137,6 +194,7 @@ PoolingGraph make_pooling_graph(Index n, Index m, const QueryDesign& design,
                                 rand::Rng& rng) {
   NPD_CHECK(m >= 0);
   PoolingGraphBuilder builder(n);
+  builder.reserve(m, m * design.gamma);
   for (Index j = 0; j < m; ++j) {
     (void)builder.add_random_query(design, rng);
   }
@@ -161,6 +219,7 @@ PoolingGraph make_constant_column_weight_graph(Index n, Index m,
   }
 
   PoolingGraphBuilder builder(n);
+  builder.reserve(m, n * column_weight + m);
   for (Index j = 0; j < m; ++j) {
     auto& agents = per_query[static_cast<std::size_t>(j)];
     if (agents.empty()) {
@@ -203,6 +262,7 @@ PoolingGraph make_doubly_regular_graph(Index n, Index m, Index delta,
   const Index gamma = edges / m;
   const Index extra = edges % m;
   PoolingGraphBuilder builder(n);
+  builder.reserve(m, edges);
   std::size_t cursor = 0;
   for (Index j = 0; j < m; ++j) {
     const auto size =

@@ -16,6 +16,17 @@
 ///   * per agent: the list of distinct incident queries.
 /// Degrees Δ_i (with multiplicity) and Δ*_i (distinct) are precomputed —
 /// they are exactly the quantities of Lemmas 3 and 4.
+///
+/// Construction cost.  `PoolingGraphBuilder::add_query` deduplicates a
+/// query of Γ draws with Γ* distinct agents in O(Γ + min(n, Γ* log Γ*))
+/// time and no allocation once the builder's buffers have grown: it
+/// counts multiplicities into a per-builder array of n counters, then
+/// emits the distinct agents in ascending order either by one scan over
+/// all n counters (when Γ*·8 ≥ n, e.g. the paper's Γ = n/2) or by sorting
+/// the short list of first-seen agents (sparse designs, Γ* ≪ n).  The
+/// choice depends on the query alone.  Invariant: every counter is zero
+/// between calls — a query is validated in full before any state
+/// changes, and each counter is reset as the emission pass reads it.
 
 #include <span>
 #include <vector>
@@ -96,7 +107,14 @@ class PoolingGraphBuilder {
  public:
   explicit PoolingGraphBuilder(Index n);
 
+  /// Reserve storage for `queries` more queries holding about `edges`
+  /// more sampled entries, so a graph of known shape is built without
+  /// regrowing its arrays.
+  void reserve(Index queries, Index edges);
+
   /// Append one query given its sampled multiset; returns the query id.
+  /// Throws `ContractViolation` for an empty query or an agent id outside
+  /// [0, n); a rejected query leaves the builder unchanged.
   Index add_query(std::span<const Index> sampled_agents);
 
   /// Sample and append one query using `design`; returns the query id.
@@ -111,6 +129,13 @@ class PoolingGraphBuilder {
  private:
   Index n_;
   PoolingGraph graph_;
+  // Per-agent multiplicity counters of the query being added; all zero
+  // between calls.
+  std::vector<Index> count_;
+  // Distinct agents of the query being added, in first-seen order.
+  std::vector<Index> first_seen_;
+  // Reused sample buffer of `add_random_query`.
+  std::vector<Index> sample_;
 };
 
 /// Convenience: the full random graph of the paper's model — `m` queries,

@@ -47,37 +47,51 @@ QueryDesign fractional_design(Index n, double gamma_fraction,
 
 std::vector<Index> sample_query(const QueryDesign& design, Index n,
                                 rand::Rng& rng) {
+  std::vector<Index> pool;
+  sample_query_into(design, n, rng, pool);
+  return pool;
+}
+
+void sample_query_into(const QueryDesign& design, Index n, rand::Rng& rng,
+                       std::vector<Index>& out) {
   NPD_CHECK(n > 0);
   NPD_CHECK_MSG(design.gamma > 0, "query size must be positive");
   switch (design.mode) {
     case SamplingMode::WithReplacement:
-      return rand::sample_with_replacement(rng, n, design.gamma);
-    case SamplingMode::WithoutReplacement:
+      // The draws of `rand::sample_with_replacement`, written in place.
+      out.resize(static_cast<std::size_t>(design.gamma));
+      for (Index& agent : out) {
+        agent = rng.uniform_index(n);
+      }
+      return;
+    case SamplingMode::WithoutReplacement: {
       NPD_CHECK_MSG(design.gamma <= n,
                     "cannot sample more agents than exist without replacement");
-      return rand::sample_without_replacement(rng, n, design.gamma);
+      const auto subset = rand::sample_without_replacement(rng, n, design.gamma);
+      out.assign(subset.begin(), subset.end());
+      return;
+    }
     case SamplingMode::Bernoulli: {
       NPD_CHECK_MSG(design.gamma <= n,
                     "Bernoulli inclusion probability would exceed 1");
       const double inclusion =
           static_cast<double>(design.gamma) / static_cast<double>(n);
-      std::vector<Index> pool;
-      pool.reserve(static_cast<std::size_t>(design.gamma) +
-                   static_cast<std::size_t>(design.gamma) / 4 + 8);
+      out.clear();
+      out.reserve(static_cast<std::size_t>(design.gamma) +
+                  static_cast<std::size_t>(design.gamma) / 4 + 8);
       for (Index agent = 0; agent < n; ++agent) {
         if (rng.bernoulli(inclusion)) {
-          pool.push_back(agent);
+          out.push_back(agent);
         }
       }
-      if (pool.empty()) {
+      if (out.empty()) {
         // Keep queries nonempty so downstream pool-size math is safe.
-        pool.push_back(rng.uniform_index(n));
+        out.push_back(rng.uniform_index(n));
       }
-      return pool;
+      return;
     }
   }
   NPD_CHECK_MSG(false, "unreachable: unknown sampling mode");
-  return {};
 }
 
 }  // namespace npd::pooling

@@ -81,4 +81,9 @@ struct GraphDesign {
 [[nodiscard]] std::vector<Index> sample_query(const QueryDesign& design,
                                               Index n, rand::Rng& rng);
 
+/// `sample_query` into a caller-owned buffer: `out` is overwritten with
+/// the same draws, from the same RNG calls, reusing its capacity.
+void sample_query_into(const QueryDesign& design, Index n, rand::Rng& rng,
+                       std::vector<Index>& out);
+
 }  // namespace npd::pooling

@@ -7,11 +7,16 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "pooling/ground_truth.hpp"
 #include "pooling/pooling_graph.hpp"
 #include "pooling/query_design.hpp"
+#include "rand/distributions.hpp"
+#include "solve/design_spec.hpp"
 #include "util/assert.hpp"
+#include "util/parallel.hpp"
 
 namespace npd::pooling {
 namespace {
@@ -364,6 +369,226 @@ TEST(PoolingGraphTest, IncrementalEqualsBatch) {
     const auto a = batch.query_multiset(j);
     const auto b = inc.query_multiset(j);
     EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+  }
+}
+
+// ------------------------------------------- deduplication vs reference
+//
+// The builder deduplicates each query without sorting it (a counting
+// pass plus either a scan over all n agents or a sort of the distinct
+// agents).  These tests pin every derived array against a tiny
+// sort-and-run-length reference built from the query multisets alone.
+
+struct FlatGraph {
+  std::vector<std::vector<Index>> multisets;
+  std::vector<std::vector<Index>> distinct;
+  std::vector<std::vector<Index>> multiplicity;
+  std::vector<Index> delta;
+  std::vector<Index> delta_star;
+  std::vector<std::vector<Index>> agent_queries;
+};
+
+FlatGraph flatten(const PoolingGraph& g) {
+  FlatGraph flat;
+  for (Index j = 0; j < g.num_queries(); ++j) {
+    const auto pool = g.query_multiset(j);
+    const auto distinct = g.query_distinct(j);
+    const auto counts = g.query_multiplicity(j);
+    flat.multisets.emplace_back(pool.begin(), pool.end());
+    flat.distinct.emplace_back(distinct.begin(), distinct.end());
+    flat.multiplicity.emplace_back(counts.begin(), counts.end());
+  }
+  for (Index i = 0; i < g.num_agents(); ++i) {
+    const auto queries = g.agent_queries(i);
+    flat.delta.push_back(g.delta(i));
+    flat.delta_star.push_back(g.delta_star(i));
+    flat.agent_queries.emplace_back(queries.begin(), queries.end());
+  }
+  return flat;
+}
+
+FlatGraph reference_graph(Index n,
+                          const std::vector<std::vector<Index>>& multisets) {
+  FlatGraph ref;
+  ref.multisets = multisets;
+  ref.delta.assign(static_cast<std::size_t>(n), 0);
+  ref.delta_star.assign(static_cast<std::size_t>(n), 0);
+  ref.agent_queries.resize(static_cast<std::size_t>(n));
+  for (std::size_t j = 0; j < multisets.size(); ++j) {
+    std::vector<Index> sorted = multisets[j];
+    std::sort(sorted.begin(), sorted.end());
+    ref.distinct.emplace_back();
+    ref.multiplicity.emplace_back();
+    for (std::size_t lo = 0; lo < sorted.size();) {
+      std::size_t hi = lo;
+      while (hi < sorted.size() && sorted[hi] == sorted[lo]) {
+        ++hi;
+      }
+      const auto agent = static_cast<std::size_t>(sorted[lo]);
+      ref.distinct.back().push_back(sorted[lo]);
+      ref.multiplicity.back().push_back(static_cast<Index>(hi - lo));
+      ref.delta[agent] += static_cast<Index>(hi - lo);
+      ++ref.delta_star[agent];
+      ref.agent_queries[agent].push_back(static_cast<Index>(j));
+      lo = hi;
+    }
+  }
+  return ref;
+}
+
+void expect_equal(const FlatGraph& got, const FlatGraph& want,
+                  const std::string& context) {
+  EXPECT_EQ(got.multisets, want.multisets) << context;
+  EXPECT_EQ(got.distinct, want.distinct) << context;
+  EXPECT_EQ(got.multiplicity, want.multiplicity) << context;
+  EXPECT_EQ(got.delta, want.delta) << context;
+  EXPECT_EQ(got.delta_star, want.delta_star) << context;
+  EXPECT_EQ(got.agent_queries, want.agent_queries) << context;
+}
+
+// A rejected query must leave no trace: the builder that saw it and
+// one that never did produce the same graph from the same later queries.
+TEST(PoolingGraphTest, RejectedQueryLeavesBuilderUnchanged) {
+  const std::vector<std::vector<Index>> rejected{{0, 9}, {1, -1}, {4}, {}};
+  for (const auto& bad : rejected) {
+    PoolingGraphBuilder clean(4);
+    PoolingGraphBuilder dirty(4);
+    (void)clean.add_query(std::vector<Index>{3, 3, 0});
+    (void)dirty.add_query(std::vector<Index>{3, 3, 0});
+    EXPECT_THROW((void)dirty.add_query(bad), ContractViolation);
+    EXPECT_EQ(dirty.num_queries_so_far(), 1);
+    EXPECT_EQ(clean.add_query(std::vector<Index>{1, 2}),
+              dirty.add_query(std::vector<Index>{1, 2}));
+    expect_equal(flatten(dirty.build()), flatten(clean.build()),
+                 "after rejecting a query of size " +
+                     std::to_string(bad.size()));
+  }
+}
+
+// Random multisets of every size Γ from 1 to 2n (a sample of sizes at
+// n = 1000), interleaved in one builder so the dense-scan and sparse-sort
+// paths run back to back on the same counters.
+TEST(PoolingGraphDedupTest, RandomQueriesMatchSortReference) {
+  auto rng = test_rng(30);
+  for (const Index n : {Index{1}, Index{7}, Index{1000}}) {
+    std::vector<Index> gammas{1, 2, 5, 17, 60, 124, 125, 126, 134, 140,
+                              500, 999, 1000, 2000};
+    if (n < 1000) {
+      gammas.assign(static_cast<std::size_t>(2 * n), 0);
+      std::iota(gammas.begin(), gammas.end(), Index{1});
+    }
+    PoolingGraphBuilder builder(n);
+    std::vector<std::vector<Index>> multisets;
+    multisets.reserve(gammas.size() * 3);
+    for (const Index gamma : gammas) {
+      for (int rep = 0; rep < 3; ++rep) {
+        multisets.push_back(rand::sample_with_replacement(rng, n, gamma));
+        (void)builder.add_query(multisets.back());
+      }
+    }
+    expect_equal(flatten(builder.build()), reference_graph(n, multisets),
+                 "n = " + std::to_string(n));
+  }
+}
+
+// Queries with exactly 124, 125 and 126 distinct agents at n = 1000:
+// 125·8 == n is the first size that takes the dense scan.
+TEST(PoolingGraphDedupTest, DistinctCountAtScanThreshold) {
+  const Index n = 1000;
+  auto rng = test_rng(31);
+  PoolingGraphBuilder builder(n);
+  std::vector<std::vector<Index>> multisets;
+  multisets.reserve(4);
+  for (const Index distinct : {Index{124}, Index{125}, Index{126}, Index{125}}) {
+    std::vector<Index> pool = rand::sample_without_replacement(rng, n, distinct);
+    pool.reserve(pool.size() + static_cast<std::size_t>(distinct / 3));
+    // Repeat a few agents so multiplicities above one are exercised too.
+    for (Index r = 0; r < distinct / 3; ++r) {
+      pool.push_back(pool[static_cast<std::size_t>(
+          rng.uniform_index(distinct))]);
+    }
+    rand::shuffle(rng, pool);
+    multisets.push_back(pool);
+    (void)builder.add_query(pool);
+  }
+  const FlatGraph got = flatten(builder.build());
+  for (std::size_t j = 0; j < got.distinct.size(); ++j) {
+    EXPECT_EQ(got.distinct[j].size() * 8 >= static_cast<std::size_t>(n),
+              j != 0)
+        << "query " << j << " is on the wrong side of the threshold";
+  }
+  expect_equal(got, reference_graph(n, multisets), "threshold");
+}
+
+// Every `design=` family builds the graph the reference predicts, from
+// the same seeded multisets the family's sampler draws.
+TEST(PoolingGraphDedupTest, EveryDesignFamilyMatchesReference) {
+  const Index n = 200;
+  const Index m = 80;  // regular:6 pools of 15: the sparse path
+  for (const char* spec :
+       {"paper", "wr:0.05", "wr:0.3", "wor:0.25", "bernoulli:0.1", "regular:6"}) {
+    const GraphDesign design = solve::parse_design_spec(spec).instantiate(n);
+    auto rng = test_rng(32);
+    const FlatGraph got = flatten(build_design_graph(n, m, design, rng));
+
+    // Replay the family's draws from the same seed.
+    auto replay = test_rng(32);
+    std::vector<std::vector<Index>> multisets;
+    multisets.reserve(static_cast<std::size_t>(m));
+    if (design.family == DesignFamily::PerQuery) {
+      for (Index j = 0; j < m; ++j) {
+        multisets.push_back(sample_query(design.per_query, n, replay));
+      }
+    } else {
+      std::vector<Index> stubs;
+      for (Index agent = 0; agent < n; ++agent) {
+        stubs.insert(stubs.end(), static_cast<std::size_t>(design.delta),
+                     agent);
+      }
+      rand::shuffle(replay, stubs);
+      const auto pool = static_cast<std::size_t>(n * design.delta / m);
+      ASSERT_EQ(stubs.size(), pool * static_cast<std::size_t>(m));
+      for (std::size_t lo = 0; lo < stubs.size(); lo += pool) {
+        multisets.emplace_back(stubs.begin() + static_cast<std::ptrdiff_t>(lo),
+                               stubs.begin() +
+                                   static_cast<std::ptrdiff_t>(lo + pool));
+      }
+    }
+    EXPECT_EQ(replay.engine()(), rng.engine()())
+        << spec << ": the build consumed a different RNG stream";
+    expect_equal(got, reference_graph(n, multisets), spec);
+  }
+}
+
+// Builders own their counters, so concurrent builds under parallel_for
+// equal sequential builds on both dedup paths.
+TEST(PoolingGraphDedupTest, ConcurrentBuildsMatchSequentialBuilds) {
+  constexpr Index kBuilds = 8;
+  const Index n = 300;
+  const auto build = [&](Index b) {
+    GraphDesign design;
+    if (b % 2 == 0) {
+      design.per_query = paper_design(n);
+    } else {
+      design.family = DesignFamily::DoublyRegular;
+      design.delta = 6;
+    }
+    auto rng = test_rng(200 + static_cast<std::uint64_t>(b));
+    return flatten(build_design_graph(n, 60, design, rng));
+  };
+  std::vector<FlatGraph> sequential;
+  sequential.reserve(kBuilds);
+  for (Index b = 0; b < kBuilds; ++b) {
+    sequential.push_back(build(b));
+  }
+  std::vector<FlatGraph> parallel(kBuilds);
+  npd::parallel_for(kBuilds, 4, [&](Index b) {
+    parallel[static_cast<std::size_t>(b)] = build(b);
+  });
+  for (Index b = 0; b < kBuilds; ++b) {
+    expect_equal(parallel[static_cast<std::size_t>(b)],
+                 sequential[static_cast<std::size_t>(b)],
+                 "build " + std::to_string(b));
   }
 }
 
