@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the hot kernels: query
 // sampling, pooling-graph construction, incremental score updates, top-k
-// selection, sorting-network generation/application, dense matvec (the
-// AMP inner loop), channel measurement, and the end-to-end
-// required-queries protocol at small n.
+// selection, sorting-network generation/application, the matrix-free
+// AMP design operator (the AMP inner loop), channel measurement, and the
+// end-to-end required-queries protocol at small n.
 
 #include <benchmark/benchmark.h>
 
@@ -13,7 +13,6 @@
 #include "core/instance.hpp"
 #include "core/scores.hpp"
 #include "harness/required_queries.hpp"
-#include "linalg/dense.hpp"
 #include "netsim/sorting_network.hpp"
 #include "noise/channel.hpp"
 #include "pooling/ground_truth.hpp"
@@ -113,23 +112,40 @@ void BM_SortingNetworkApply(benchmark::State& state) {
 }
 BENCHMARK(BM_SortingNetworkApply)->Arg(1024)->Arg(8192);
 
-void BM_DenseMatvec(benchmark::State& state) {
-  const auto n = static_cast<Index>(state.range(0));
-  const Index m = n / 2;
+// One AMP iteration's pair of products, B·x and Bᵀ·z, with the
+// matrix-free standardized design at n = 1000, m = 300 for a `design=`
+// spec; items are the nonzeros of the counting matrix.
+void BM_AmpOperator(benchmark::State& state, const char* spec) {
+  const Index n = 1000;
+  const Index k = pooling::sublinear_k(n, 0.25);
+  const Index m = 300;
+  const pooling::GraphDesign design =
+      solve::parse_design_spec(spec).instantiate(n);
   rand::Rng rng(5);
-  const pooling::PoolingGraph graph =
-      pooling::make_pooling_graph(n, m, pooling::paper_design(n), rng);
-  const linalg::DenseMatrix a = linalg::counting_matrix(graph);
-  std::vector<double> x(static_cast<std::size_t>(n), 0.5);
-  std::vector<double> y(static_cast<std::size_t>(m));
-  for (auto _ : state) {
-    a.matvec(x, y);
-    benchmark::DoNotOptimize(y);
+  const auto channel = noise::make_noiseless();
+  const core::Instance instance =
+      core::make_instance(n, k, m, design, *channel, rng);
+  const amp::AmpProblem problem =
+      amp::standardize(instance, channel->linearization(n, k, n / 2));
+  std::int64_t nnz = 0;
+  for (Index j = 0; j < m; ++j) {
+    nnz += static_cast<std::int64_t>(instance.graph.query_distinct(j).size());
   }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n *
-                          m);
+  std::vector<double> x(static_cast<std::size_t>(n), 0.5);
+  std::vector<double> z(static_cast<std::size_t>(m), 0.25);
+  std::vector<double> bx(static_cast<std::size_t>(m));
+  std::vector<double> btz(static_cast<std::size_t>(n));
+  for (auto _ : state) {
+    problem.b.matvec(x, bx);
+    problem.b.matvec_transpose(z, btz);
+    benchmark::DoNotOptimize(bx.data());
+    benchmark::DoNotOptimize(btz.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          nnz);
 }
-BENCHMARK(BM_DenseMatvec)->Arg(500)->Arg(1000);
+BENCHMARK_CAPTURE(BM_AmpOperator, paper, "paper");
+BENCHMARK_CAPTURE(BM_AmpOperator, regular6, "regular:6");
 
 void BM_ChannelMeasureBitFlip(benchmark::State& state) {
   const Index n = 1000;

@@ -57,8 +57,11 @@ int main(int argc, char** argv) {
               static_cast<long long>(m), std::ceil(greedy_bound),
               static_cast<long long>(reps));
 
+  // The state-evolution comparison below needs only the last problem's
+  // scalars; the problem itself borrows its instance's graph.
   amp::AmpResult amp_result;
-  amp::AmpProblem problem;
+  amp::StateEvolutionParams se_params;
+  se_params.n_over_m = static_cast<double>(n) / static_cast<double>(m);
   for (long long rep = 0; rep < reps; ++rep) {
     rand::Rng rng(static_cast<std::uint64_t>(seed + rep));
     const core::Instance instance =
@@ -74,9 +77,11 @@ int main(int argc, char** argv) {
 
     // --- AMP ---
     const auto lin = channel.linearization(n, k, n / 2);
-    problem = amp::standardize(instance, lin);
+    const amp::AmpProblem problem = amp::standardize(instance, lin);
     const amp::BayesBernoulliDenoiser denoiser(problem.pi);
     amp_result = amp::run_amp(problem, denoiser);
+    se_params.pi = problem.pi;
+    se_params.noise_var = problem.effective_noise_var;
     std::printf("rep %lld amp    : exact = %s, overlap = %.2f, "
                 "iterations = %lld\n",
                 rep + 1,
@@ -88,11 +93,7 @@ int main(int argc, char** argv) {
   }
 
   // --- the τ² trace of the last instance against state evolution ---
-  amp::StateEvolutionParams se_params;
-  se_params.pi = problem.pi;
-  se_params.n_over_m = static_cast<double>(n) / static_cast<double>(m);
-  se_params.noise_var = problem.effective_noise_var;
-  const amp::BayesBernoulliDenoiser denoiser(problem.pi);
+  const amp::BayesBernoulliDenoiser denoiser(se_params.pi);
   const auto se = amp::run_state_evolution(se_params, denoiser);
 
   std::printf("\n");

@@ -15,6 +15,7 @@ AmpResult run_amp(const AmpProblem& problem, const Denoiser& denoiser,
                 "damping must lie in (0, 1]");
   const Index n = problem.n;
   const Index m = problem.m;
+  NPD_CHECK(problem.b.graph != nullptr);
   NPD_CHECK(problem.b.rows() == m && problem.b.cols() == n);
   NPD_CHECK(static_cast<Index>(problem.y.size()) == m);
 

@@ -14,6 +14,12 @@
 /// [19, 20].  The effective noise level τ_t is tracked empirically as
 /// ‖z^(t)‖²/m (the standard practical estimator).  The final estimate
 /// rounds the posterior scores to the top-k (k is known by assumption).
+///
+/// A is the problem's `DesignOperator`, applied on the pooling graph
+/// itself: an iteration costs one forward and one transposed product,
+/// O(nnz + m + n) each, plus O(n + m) vector work, and the solver holds
+/// only O(n + m) doubles — so AMP runs at n = 10⁵ on the sparse designs
+/// in the memory of the graph.
 
 #include <vector>
 

@@ -1,7 +1,6 @@
 #include "netsim/distributed_amp.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -16,20 +15,28 @@ namespace {
 struct SharedKnowledge {
   Index n = 0;
   Index m = 0;
-  double mean_entry = 0.0;  // Γ/n
-  double inv_scale = 0.0;   // 1/s with s = √(m·v)
+  amp::DesignOperator design;  // only μ, 1/s and `finish` are used
   double tau2_floor = 0.0;
   const amp::Denoiser* denoiser = nullptr;
   Index iterations = 0;
 };
 
-/// Agent i: holds x_i and its own sampling multiplicities (it knows which
-/// queries measured it and how often — local knowledge).
+/// One graph neighbour of a node and the edge's multiplicity.
+struct Neighbour {
+  Index id = 0;
+  double count = 0.0;
+};
+
+/// Agent i: holds x_i and its own (query, multiplicity) list — it knows
+/// which queries measured it and how often (local knowledge).
 class AmpAgentNode final : public Node {
  public:
-  AmpAgentNode(Index self, const SharedKnowledge* shared,
-               std::vector<double> my_counts)
-      : self_(self), shared_(shared), my_counts_(std::move(my_counts)) {}
+  AmpAgentNode(Index self, const SharedKnowledge* shared)
+      : self_(self), shared_(shared) {}
+
+  void add_query(Index j, Index count) {
+    queries_.push_back({j, static_cast<double>(count)});
+  }
 
   void on_round(Index round, std::span<const Message> received,
                 NetworkContext& ctx) override {
@@ -39,22 +46,20 @@ class AmpAgentNode final : public Node {
     }
     NPD_ASSERT(static_cast<Index>(received.size()) == shared_->m);
 
-    // Reconstruct tau² and the pseudo-data r_i = Σ_j B_ji z_j + x_i,
-    // accumulating in ascending query order to match the centralized
-    // matvec_transpose exactly.
+    // Reconstruct tau² and the pseudo-data r_i = (Bᵀz)_i + x_i with the
+    // operator's summation order: own queries ascending, then Σ_j z_j
+    // ascending, then `finish`.
     double z_norm_sq = 0.0;
-    double pseudo = 0.0;
-    for (std::size_t j = 0; j < received.size(); ++j) {
-      const double z_j = received[j].a;
-      z_norm_sq += z_j * z_j;
-      if (z_j == 0.0) {
-        continue;  // centralized matvec_transpose skips zero weights
-      }
-      const double b_ji =
-          (my_counts_[j] - shared_->mean_entry) * shared_->inv_scale;
-      pseudo += z_j * b_ji;
+    double z_sum = 0.0;
+    for (const Message& msg : received) {
+      z_norm_sq += msg.a * msg.a;
+      z_sum += msg.a;
     }
-    pseudo += x_;
+    double own = 0.0;
+    for (const Neighbour& q : queries_) {
+      own += q.count * received[static_cast<std::size_t>(q.id)].a;
+    }
+    const double pseudo = shared_->design.finish(own, z_sum) + x_;
     const double tau2 =
         std::max(z_norm_sq / static_cast<double>(shared_->m),
                  shared_->tau2_floor);
@@ -77,23 +82,21 @@ class AmpAgentNode final : public Node {
  private:
   Index self_;
   const SharedKnowledge* shared_;
-  std::vector<double> my_counts_;  // A_ji for all j (dense, own column)
+  std::vector<Neighbour> queries_;  // ascending query id
   double x_ = 0.0;
 };
 
-/// Query node j: holds y_j, z_j and its own sampled multiset (its row of
-/// the counting matrix — local knowledge).
+/// Query node j: holds y_j, z_j and its own (distinct agent,
+/// multiplicity) list — its row of the counting matrix (local knowledge).
 class AmpQueryNode final : public Node {
  public:
-  AmpQueryNode(Index network_id, Index query_id,
-               const SharedKnowledge* shared, double y,
-               std::vector<double> row_counts)
+  AmpQueryNode(Index network_id, const SharedKnowledge* shared, double y,
+               std::vector<Neighbour> agents)
       : network_id_(network_id),
-        query_id_(query_id),
         shared_(shared),
         y_(y),
         z_(y),
-        row_counts_(std::move(row_counts)) {}
+        agents_(std::move(agents)) {}
 
   void on_round(Index round, std::span<const Message> received,
                 NetworkContext& ctx) override {
@@ -103,19 +106,23 @@ class AmpQueryNode final : public Node {
     }
     if (round > 0) {
       // Update the residual with the Onsager term:
-      //   z = y − Σ_i B_ji·x_i + z_old·(Σ_i η'_i)/m,
-      // both sums in ascending agent order (= matvec row loop).
+      //   z = y − (B·x)_j + z_old·(Σ_i η'_i)/m,
+      // with (B·x)_j in the operator's summation order: own agents
+      // ascending, then Σ_i x_i ascending, then `finish`.
       NPD_ASSERT(static_cast<Index>(received.size()) == shared_->n);
-      double ax = 0.0;
+      double x_sum = 0.0;
       double eta_prime_sum = 0.0;
-      for (std::size_t i = 0; i < received.size(); ++i) {
-        const double b_ji =
-            (row_counts_[i] - shared_->mean_entry) * shared_->inv_scale;
-        ax += b_ji * received[i].a;
-        eta_prime_sum += received[i].b;
+      for (const Message& msg : received) {
+        x_sum += msg.a;
+        eta_prime_sum += msg.b;
       }
+      double own = 0.0;
+      for (const Neighbour& a : agents_) {
+        own += a.count * received[static_cast<std::size_t>(a.id)].a;
+      }
+      const double bx = shared_->design.finish(own, x_sum);
       const double onsager = eta_prime_sum / static_cast<double>(shared_->m);
-      z_ = y_ - ax + z_ * onsager;
+      z_ = y_ - bx + z_ * onsager;
     }
     for (Index i = 0; i < shared_->n; ++i) {
       ctx.send(network_id_, i, Tag::User, z_);
@@ -124,11 +131,10 @@ class AmpQueryNode final : public Node {
 
  private:
   Index network_id_;
-  Index query_id_;
   const SharedKnowledge* shared_;
   double y_;
   double z_;
-  std::vector<double> row_counts_;  // A_ji for all i (dense, own row)
+  std::vector<Neighbour> agents_;  // ascending agent id
 };
 
 }  // namespace
@@ -141,20 +147,13 @@ DistributedAmpResult run_distributed_amp(const core::Instance& instance,
   const Index n = problem.n;
   const Index m = problem.m;
   NPD_CHECK(instance.n() == n && instance.m() == m);
-
-  // Reconstruct the standardization constants the same way
-  // amp::standardize does.
-  const double gamma =
-      static_cast<double>(instance.graph.query_multiset(0).size());
-  const double mean_entry = gamma / static_cast<double>(n);
-  const double entry_var = mean_entry * (1.0 - 1.0 / static_cast<double>(n));
-  const double s = std::sqrt(static_cast<double>(m) * entry_var);
+  NPD_CHECK_MSG(problem.b.graph == &instance.graph,
+                "problem must be standardized from this instance");
 
   SharedKnowledge shared;
   shared.n = n;
   shared.m = m;
-  shared.mean_entry = mean_entry;
-  shared.inv_scale = 1.0 / s;
+  shared.design = problem.b;
   shared.tau2_floor = std::max(problem.effective_noise_var, 1e-12);
   shared.denoiser = &denoiser;
   shared.iterations = iterations;
@@ -163,25 +162,24 @@ DistributedAmpResult run_distributed_amp(const core::Instance& instance,
   std::vector<AmpAgentNode*> agents;
   agents.reserve(static_cast<std::size_t>(n));
   for (Index i = 0; i < n; ++i) {
-    std::vector<double> column(static_cast<std::size_t>(m), 0.0);
-    for (const Index j : instance.graph.agent_queries(i)) {
-      column[static_cast<std::size_t>(j)] =
-          static_cast<double>(instance.graph.multiplicity(j, i));
-    }
-    auto agent = std::make_unique<AmpAgentNode>(i, &shared, std::move(column));
+    auto agent = std::make_unique<AmpAgentNode>(i, &shared);
     agents.push_back(agent.get());
     (void)network.add_node(std::move(agent));
   }
+  // One pass over the query lists in ascending j hands every agent its
+  // queries in ascending order.
   for (Index j = 0; j < m; ++j) {
-    std::vector<double> row(static_cast<std::size_t>(n), 0.0);
     const auto distinct = instance.graph.query_distinct(j);
     const auto counts = instance.graph.query_multiplicity(j);
+    std::vector<Neighbour> row;
+    row.reserve(distinct.size());
     for (std::size_t idx = 0; idx < distinct.size(); ++idx) {
-      row[static_cast<std::size_t>(distinct[idx])] =
-          static_cast<double>(counts[idx]);
+      row.push_back({distinct[idx], static_cast<double>(counts[idx])});
+      agents[static_cast<std::size_t>(distinct[idx])]->add_query(j,
+                                                                  counts[idx]);
     }
     (void)network.add_node(std::make_unique<AmpQueryNode>(
-        n + j, j, &shared, problem.y[static_cast<std::size_t>(j)],
+        n + j, &shared, problem.y[static_cast<std::size_t>(j)],
         std::move(row)));
   }
 

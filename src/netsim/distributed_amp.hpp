@@ -7,14 +7,20 @@
 ///
 /// AMP on the *standardized* (centered) design is dense: after centering,
 /// every query's residual update depends on every agent's estimate and
-/// vice versa.  Each AMP iteration therefore costs two network-wide
-/// floods:
+/// vice versa (through Σ_i x_i and Σ_j z_j).  Each AMP iteration
+/// therefore costs two network-wide floods:
 ///
 ///   * query round:  every query node broadcasts its residual z_j to all
-///     n agents (agents reconstruct B_ji locally — they know their own
-///     sampling multiplicities and the public constants Γ, n, s);
+///     n agents, and each agent computes its column (Bᵀz)_i from its own
+///     (query, multiplicity) list plus Σ_j z_j;
 ///   * agent round:  every agent sends (η(r_i), η'(r_i)) to all m query
-///     nodes, which update their residuals with the Onsager term.
+///     nodes, and each query computes its row (B·x)_j from its own
+///     (agent, multiplicity) list plus Σ_i x_i, then updates its residual
+///     with the Onsager term.
+///
+/// Nodes store only their own neighbour lists; the public constants μ
+/// and 1/s come from the problem's `amp::DesignOperator`, whose `finish`
+/// combines the two sums exactly as the centralized products do.
 ///
 /// That is 2·n·m messages per iteration — versus the greedy protocol's
 /// one-shot broadcast (the `abl7` scenario quantifies the gap).  The final
@@ -48,10 +54,11 @@ struct DistributedAmpResult {
 };
 
 /// Run `iterations` AMP rounds distributedly on a standardized problem.
-/// `problem` must come from `amp::standardize`; the denoiser is shared
-/// public knowledge.  No damping, fixed iteration budget (distributed
-/// convergence detection would need an extra aggregation tree per
-/// iteration; callers pick the budget, e.g. from a centralized run).
+/// `problem` must come from `amp::standardize(instance, ...)`; the
+/// denoiser is shared public knowledge.  No damping, fixed iteration
+/// budget (distributed convergence detection would need an extra
+/// aggregation tree per iteration; callers pick the budget, e.g. from a
+/// centralized run).
 [[nodiscard]] DistributedAmpResult run_distributed_amp(
     const core::Instance& instance, const amp::AmpProblem& problem,
     const amp::Denoiser& denoiser, Index iterations);

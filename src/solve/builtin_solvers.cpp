@@ -223,8 +223,11 @@ class AmpSolver final : public Reconstructor {
     (void)rng;
     const noise::Linearization lin = channel.linearization(
         instance.n(), instance.k(), gamma_ref(instance));
-    amp::AmpResult amp_result =
-        amp::amp_reconstruct(instance, lin, options_);
+    // One standardized problem serves AMP and, for amp_se, the
+    // state-evolution companion.
+    const amp::AmpProblem problem = amp::standardize(instance, lin);
+    const amp::BayesBernoulliDenoiser denoiser(problem.pi);
+    amp::AmpResult amp_result = amp::run_amp(problem, denoiser, options_);
 
     SolveResult result;
     result.estimate = std::move(amp_result.estimate);
@@ -236,8 +239,6 @@ class AmpSolver final : public Reconstructor {
     if (with_se_) {
       // Companion state-evolution prediction on the same standardized
       // problem (scalar recursion; estimates are untouched).
-      const amp::AmpProblem problem = amp::standardize(instance, lin);
-      const amp::BayesBernoulliDenoiser denoiser(problem.pi);
       amp::StateEvolutionParams se = se_params_;
       se.pi = problem.pi;
       se.n_over_m = static_cast<double>(problem.n) /

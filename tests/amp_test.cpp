@@ -1,11 +1,17 @@
 // Tests for the AMP baseline: denoiser calculus (closed forms + finite
 // differences), the exactness of the centering/scaling preprocessing,
+// the matrix-free design operator against a dense reference kept here,
 // convergence of the iteration on easy instances, and agreement between
 // the state-evolution prediction and the empirical τ trace.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "amp/amp.hpp"
 #include "amp/denoiser.hpp"
@@ -16,8 +22,11 @@
 #include "core/instance.hpp"
 #include "linalg/vector_ops.hpp"
 #include "noise/channel.hpp"
+#include "pooling/ground_truth.hpp"
+#include "pooling/pooling_graph.hpp"
 #include "pooling/query_design.hpp"
 #include "rand/rng.hpp"
+#include "solve/design_spec.hpp"
 #include "util/assert.hpp"
 
 namespace npd::amp {
@@ -136,9 +145,15 @@ TEST(PreprocessTest, ColumnsHaveRoughlyUnitNorm) {
   const AmpProblem problem =
       standardize(instance, channel->linearization(200, 10, 100));
 
+  // ‖B e_c‖² through the forward product.
   double norm_sum = 0.0;
+  std::vector<double> unit(static_cast<std::size_t>(problem.n), 0.0);
+  std::vector<double> column(static_cast<std::size_t>(problem.m));
   for (Index c = 0; c < problem.n; ++c) {
-    norm_sum += problem.b.column_norm_squared(c);
+    unit[static_cast<std::size_t>(c)] = 1.0;
+    problem.b.matvec(unit, column);
+    unit[static_cast<std::size_t>(c)] = 0.0;
+    norm_sum += linalg::norm_squared(column);
   }
   EXPECT_NEAR(norm_sum / static_cast<double>(problem.n), 1.0, 0.1);
 }
@@ -184,6 +199,307 @@ TEST(PreprocessTest, PriorIsKOverN) {
   const AmpProblem problem =
       standardize(instance, channel->linearization(50, 5, 25));
   EXPECT_DOUBLE_EQ(problem.pi, 0.1);
+}
+
+// A problem borrows its instance's graph, so temporaries are refused.
+template <typename I>
+concept Standardizable =
+    requires(I&& instance, const noise::Linearization& lin) {
+      standardize(std::forward<I>(instance), lin);
+    };
+static_assert(Standardizable<const core::Instance&>);
+static_assert(!Standardizable<core::Instance>);
+
+// -------------------------------------------------------- design operator
+
+// Dense reference for the standardized design: B(j, i) = (A(j, i) − μ)/s
+// stored row-major, with plain row-by-row products — the representation
+// the matrix-free operator replaces.
+struct DenseDesign {
+  Index rows = 0;
+  Index cols = 0;
+  std::vector<double> b;
+
+  explicit DenseDesign(const DesignOperator& op)
+      : rows(op.rows()),
+        cols(op.cols()),
+        b(static_cast<std::size_t>(rows * cols), 0.0) {
+    for (Index j = 0; j < rows; ++j) {
+      const auto agents = op.graph->query_distinct(j);
+      const auto counts = op.graph->query_multiplicity(j);
+      for (std::size_t idx = 0; idx < agents.size(); ++idx) {
+        at(j, agents[idx]) = static_cast<double>(counts[idx]);
+      }
+    }
+    for (double& v : b) {
+      v = (v - op.mean_entry) * op.inv_scale;
+    }
+  }
+
+  double& at(Index j, Index i) {
+    return b[static_cast<std::size_t>(j * cols + i)];
+  }
+  [[nodiscard]] double at(Index j, Index i) const {
+    return b[static_cast<std::size_t>(j * cols + i)];
+  }
+
+  // B·x, or |B|·|x| (the scale of the rounding error) when `abs` is set.
+  [[nodiscard]] std::vector<double> matvec(const std::vector<double>& x,
+                                           bool abs = false) const {
+    std::vector<double> out(static_cast<std::size_t>(rows), 0.0);
+    for (Index j = 0; j < rows; ++j) {
+      for (Index i = 0; i < cols; ++i) {
+        const double term = at(j, i) * x[static_cast<std::size_t>(i)];
+        out[static_cast<std::size_t>(j)] += abs ? std::abs(term) : term;
+      }
+    }
+    return out;
+  }
+
+  [[nodiscard]] std::vector<double> matvec_transpose(
+      const std::vector<double>& z, bool abs = false) const {
+    std::vector<double> out(static_cast<std::size_t>(cols), 0.0);
+    for (Index j = 0; j < rows; ++j) {
+      for (Index i = 0; i < cols; ++i) {
+        const double term = at(j, i) * z[static_cast<std::size_t>(j)];
+        out[static_cast<std::size_t>(i)] += abs ? std::abs(term) : term;
+      }
+    }
+    return out;
+  }
+};
+
+std::vector<double> random_vector(Index size, rand::Rng& rng) {
+  std::vector<double> v(static_cast<std::size_t>(size));
+  for (double& e : v) {
+    e = 2.0 * rng.uniform_real() - 1.0;
+  }
+  return v;
+}
+
+// Forward and transposed products of `op` agree with the dense reference
+// within 1e-12 relative to Σ|B_ji·v_i| (the products' rounding scale).
+void expect_matches_dense(const DesignOperator& op, rand::Rng& rng) {
+  const DenseDesign dense(op);
+  for (int trial = 0; trial < 3; ++trial) {
+    const std::vector<double> x = random_vector(op.cols(), rng);
+    std::vector<double> bx(static_cast<std::size_t>(op.rows()));
+    op.matvec(x, bx);
+    const std::vector<double> ref = dense.matvec(x);
+    const std::vector<double> scale = dense.matvec(x, true);
+    for (std::size_t j = 0; j < bx.size(); ++j) {
+      EXPECT_NEAR(bx[j], ref[j], 1e-12 * std::max(scale[j], 1e-300))
+          << "row " << j;
+    }
+
+    const std::vector<double> z = random_vector(op.rows(), rng);
+    std::vector<double> btz(static_cast<std::size_t>(op.cols()));
+    op.matvec_transpose(z, btz);
+    const std::vector<double> ref_t = dense.matvec_transpose(z);
+    const std::vector<double> scale_t = dense.matvec_transpose(z, true);
+    for (std::size_t i = 0; i < btz.size(); ++i) {
+      EXPECT_NEAR(btz[i], ref_t[i], 1e-12 * std::max(scale_t[i], 1e-300))
+          << "column " << i;
+    }
+  }
+}
+
+TEST(DesignOperatorTest, MatchesDenseReferenceOnEveryDesignFamily) {
+  // `regular:3` at n = 50, m = 7: n·Δ = 150 is not a multiple of m, so
+  // pool sizes differ by one.
+  const std::vector<std::pair<const char*, Index>> designs{
+      {"paper", 40},       {"wr:0.2", 40},    {"wor:0.2", 40},
+      {"bernoulli:0.2", 40}, {"regular:3", 7}};
+  auto rng = test_rng(20);
+  const auto channel = noise::make_noiseless();
+  const Index n = 50;
+  for (const auto& [spec, m] : designs) {
+    SCOPED_TRACE(spec);
+    const pooling::GraphDesign design =
+        solve::parse_design_spec(spec).instantiate(n);
+    const core::Instance instance =
+        core::make_instance(n, 4, m, design, *channel, rng);
+    const AmpProblem problem =
+        standardize(instance, channel->linearization(n, 4, n / 2));
+    expect_matches_dense(problem.b, rng);
+  }
+}
+
+TEST(DesignOperatorTest, MatchesDenseReferenceWithMultiplicities) {
+  // Parallel edges (multiplicity 2 and 3) and an agent in no query.
+  pooling::PoolingGraphBuilder builder(5);
+  (void)builder.add_query(std::vector<Index>{0, 0, 3});
+  (void)builder.add_query(std::vector<Index>{1, 2, 2, 2});
+  (void)builder.add_query(std::vector<Index>{3, 1});
+  const pooling::PoolingGraph g = builder.build();
+  auto rng = test_rng(21);
+  expect_matches_dense(DesignOperator{&g, 0.6, 0.8}, rng);
+}
+
+TEST(DesignOperatorTest, MatchesDenseReferenceForASingleAgent) {
+  pooling::PoolingGraphBuilder builder(1);
+  (void)builder.add_query(std::vector<Index>{0});
+  (void)builder.add_query(std::vector<Index>{0, 0, 0});
+  const pooling::PoolingGraph g = builder.build();
+  auto rng = test_rng(22);
+  expect_matches_dense(DesignOperator{&g, 1.5, 0.5}, rng);
+}
+
+TEST(DesignOperatorTest, ValidatesDimensions) {
+  pooling::PoolingGraphBuilder builder(3);
+  (void)builder.add_query(std::vector<Index>{0, 2});
+  const pooling::PoolingGraph g = builder.build();
+  const DesignOperator op{&g, 0.0, 1.0};
+  std::vector<double> x(3);
+  std::vector<double> y(1);
+  std::vector<double> bad(2);
+  EXPECT_THROW(op.matvec(bad, y), ContractViolation);
+  EXPECT_THROW(op.matvec(x, bad), ContractViolation);
+  EXPECT_THROW(op.matvec_transpose(bad, x), ContractViolation);
+  EXPECT_THROW(op.matvec_transpose(y, bad), ContractViolation);
+}
+
+// With μ = 0 and 1/s = 1 the operator is the counting matrix A itself.
+
+TEST(CountingMatrixTest, EntriesAreMultiplicities) {
+  pooling::PoolingGraphBuilder builder(5);
+  (void)builder.add_query(std::vector<Index>{0, 0, 3});
+  (void)builder.add_query(std::vector<Index>{1, 2, 2, 2});
+  const pooling::PoolingGraph g = builder.build();
+  const DesignOperator a{&g, 0.0, 1.0};
+  EXPECT_EQ(a.rows(), 2);
+  EXPECT_EQ(a.cols(), 5);
+
+  // Column i of A is A·e_i.
+  const auto column = [&](Index i) {
+    std::vector<double> unit(5, 0.0);
+    unit[static_cast<std::size_t>(i)] = 1.0;
+    std::vector<double> out(2);
+    a.matvec(unit, out);
+    return out;
+  };
+  EXPECT_EQ(column(0), (std::vector<double>{2.0, 0.0}));
+  EXPECT_EQ(column(1), (std::vector<double>{0.0, 1.0}));
+  EXPECT_EQ(column(2), (std::vector<double>{0.0, 3.0}));
+  EXPECT_EQ(column(3), (std::vector<double>{1.0, 0.0}));
+  EXPECT_EQ(column(4), (std::vector<double>{0.0, 0.0}));
+}
+
+TEST(CountingMatrixTest, RowSumsAreGamma) {
+  auto rng = test_rng(23);
+  const pooling::QueryDesign d = pooling::paper_design(30);
+  const pooling::PoolingGraph g = pooling::make_pooling_graph(30, 9, d, rng);
+  const DesignOperator a{&g, 0.0, 1.0};
+  std::vector<double> row_sums(9);
+  a.matvec(std::vector<double>(30, 1.0), row_sums);
+  for (const double sum : row_sums) {
+    EXPECT_DOUBLE_EQ(sum, static_cast<double>(d.gamma));
+  }
+}
+
+TEST(CountingMatrixTest, PoolSumsViaMatvec) {
+  // A·σ must equal the exact pool sums — the identity the AMP model
+  // preprocessing relies on.
+  auto rng = test_rng(24);
+  const pooling::PoolingGraph g =
+      pooling::make_pooling_graph(25, 10, pooling::paper_design(25), rng);
+  const pooling::GroundTruth truth = pooling::make_ground_truth(25, 6, rng);
+  const DesignOperator a{&g, 0.0, 1.0};
+
+  std::vector<double> sigma(25);
+  for (Index i = 0; i < 25; ++i) {
+    sigma[static_cast<std::size_t>(i)] =
+        static_cast<double>(truth.bits[static_cast<std::size_t>(i)]);
+  }
+  std::vector<double> pool_sums(10);
+  a.matvec(sigma, pool_sums);
+  for (Index j = 0; j < 10; ++j) {
+    const double expected = static_cast<double>(
+        noise::exact_pool_sum(g.query_multiset(j), truth.bits));
+    EXPECT_DOUBLE_EQ(pool_sums[static_cast<std::size_t>(j)], expected);
+  }
+}
+
+// The AMP iteration of run_amp, on the dense reference.
+AmpResult dense_reference_amp(const AmpProblem& problem,
+                              const Denoiser& denoiser) {
+  const AmpOptions options;
+  const DenseDesign dense(problem.b);
+  const auto size = [](Index len) { return static_cast<std::size_t>(len); };
+  AmpResult result;
+  std::vector<double> x(size(problem.n), 0.0);
+  std::vector<double> z = problem.y;
+  const double floor = std::max(problem.effective_noise_var, 1e-12);
+  const double m = static_cast<double>(problem.m);
+  double tau2 = std::max(linalg::norm_squared(z) / m, floor);
+  for (Index t = 0; t < options.max_iterations; ++t) {
+    std::vector<double> pseudo = dense.matvec_transpose(z);
+    std::vector<double> x_new(size(problem.n));
+    double eta_prime_sum = 0.0;
+    for (std::size_t i = 0; i < pseudo.size(); ++i) {
+      pseudo[i] += x[i];
+      x_new[i] = denoiser.eta(pseudo[i], tau2);
+      eta_prime_sum += denoiser.eta_prime(pseudo[i], tau2);
+    }
+    const double update_mss = linalg::distance_squared(x_new, x) /
+                              static_cast<double>(problem.n);
+    x = std::move(x_new);
+    ++result.iterations;
+    const std::vector<double> bx = dense.matvec(x);
+    for (std::size_t j = 0; j < z.size(); ++j) {
+      z[j] = problem.y[j] - bx[j] + z[j] * (eta_prime_sum / m);
+    }
+    tau2 = std::max(linalg::norm_squared(z) / m, floor);
+    if (update_mss < options.convergence_tol) {
+      result.converged = true;
+      break;
+    }
+  }
+  result.estimate = core::select_top_k(x, problem.k).estimate;
+  result.x = std::move(x);
+  return result;
+}
+
+TEST(DesignOperatorTest, RunAmpMatchesDenseReferenceOnPinnedInstances) {
+  struct Pinned {
+    const char* design;
+    const char* channel;
+    Index m;
+  };
+  const std::vector<Pinned> pinned{
+      {"paper", "z", 90},        {"paper", "gauss", 120},
+      {"regular:6", "z", 60},    {"regular:6", "bitflip", 90},
+      {"wr:0.05", "z", 90},      {"wr:0.05", "gauss", 60}};
+  const Index n = 300;
+  const Index k = 6;
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE(std::string(p.design) + " " + p.channel + " m=" +
+                 std::to_string(p.m));
+    auto rng = test_rng(25);
+    const std::string name = p.channel;
+    const std::unique_ptr<noise::NoiseChannel> channel =
+        name == "z"         ? noise::make_z_channel(0.1)
+        : name == "bitflip" ? noise::make_bitflip_channel(0.05, 0.01)
+                            : noise::make_gaussian_channel(1.0);
+    const pooling::GraphDesign design =
+        solve::parse_design_spec(p.design).instantiate(n);
+    const core::Instance instance =
+        core::make_instance(n, k, p.m, design, *channel, rng);
+    const AmpProblem problem = standardize(
+        instance,
+        channel->linearization(
+            n, k, static_cast<Index>(instance.graph.query_multiset(0).size())));
+    const BayesBernoulliDenoiser denoiser(problem.pi);
+
+    const AmpResult matrix_free = run_amp(problem, denoiser);
+    const AmpResult dense = dense_reference_amp(problem, denoiser);
+    EXPECT_EQ(matrix_free.iterations, dense.iterations);
+    EXPECT_EQ(matrix_free.converged, dense.converged);
+    EXPECT_EQ(matrix_free.estimate, dense.estimate);
+    for (std::size_t i = 0; i < dense.x.size(); ++i) {
+      EXPECT_NEAR(matrix_free.x[i], dense.x[i], 1e-9) << "agent " << i;
+    }
+  }
 }
 
 // --------------------------------------------------------------- run_amp

@@ -1,19 +1,10 @@
-// Tests for the linear-algebra substrate: dense and CSR matrices, their
-// products against brute-force references, and the counting-matrix
-// construction from pooling graphs.
+// Tests for the vector kernels behind the AMP iteration.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "linalg/dense.hpp"
-#include "linalg/sparse.hpp"
 #include "linalg/vector_ops.hpp"
-#include "noise/channel.hpp"
-#include "pooling/ground_truth.hpp"
-#include "pooling/pooling_graph.hpp"
-#include "pooling/query_design.hpp"
-#include "rand/rng.hpp"
 #include "util/assert.hpp"
 
 namespace npd::linalg {
@@ -52,190 +43,6 @@ TEST(VectorOpsTest, MeanAndDistance) {
   EXPECT_DOUBLE_EQ(distance_squared(std::vector<double>{1.0, 1.0},
                                     std::vector<double>{4.0, 5.0}),
                    9.0 + 16.0);
-}
-
-// ----------------------------------------------------------------- dense
-
-TEST(DenseMatrixTest, ConstructionAndAccess) {
-  DenseMatrix m(2, 3, 0.0);
-  EXPECT_EQ(m.rows(), 2);
-  EXPECT_EQ(m.cols(), 3);
-  m.at(1, 2) = 5.0;
-  EXPECT_DOUBLE_EQ(m.at(1, 2), 5.0);
-  EXPECT_DOUBLE_EQ(m.at(0, 0), 0.0);
-}
-
-TEST(DenseMatrixTest, MatvecAgainstHandComputed) {
-  DenseMatrix m(2, 3);
-  // [1 2 3; 4 5 6]
-  m.at(0, 0) = 1;
-  m.at(0, 1) = 2;
-  m.at(0, 2) = 3;
-  m.at(1, 0) = 4;
-  m.at(1, 1) = 5;
-  m.at(1, 2) = 6;
-
-  const std::vector<double> x{1.0, 0.0, -1.0};
-  std::vector<double> y(2);
-  m.matvec(x, y);
-  EXPECT_DOUBLE_EQ(y[0], -2.0);
-  EXPECT_DOUBLE_EQ(y[1], -2.0);
-
-  const std::vector<double> z{1.0, 1.0};
-  std::vector<double> w(3);
-  m.matvec_transpose(z, w);
-  EXPECT_DOUBLE_EQ(w[0], 5.0);
-  EXPECT_DOUBLE_EQ(w[1], 7.0);
-  EXPECT_DOUBLE_EQ(w[2], 9.0);
-}
-
-TEST(DenseMatrixTest, MatvecValidatesDimensions) {
-  DenseMatrix m(2, 3);
-  std::vector<double> bad_x(2);
-  std::vector<double> y(2);
-  EXPECT_THROW(m.matvec(bad_x, y), ContractViolation);
-  std::vector<double> x(3);
-  std::vector<double> bad_y(3);
-  EXPECT_THROW(m.matvec(x, bad_y), ContractViolation);
-}
-
-TEST(DenseMatrixTest, AddScalarAndScale) {
-  DenseMatrix m(2, 2, 1.0);
-  m.add_scalar(2.0);
-  m.scale(0.5);
-  for (Index r = 0; r < 2; ++r) {
-    for (Index c = 0; c < 2; ++c) {
-      EXPECT_DOUBLE_EQ(m.at(r, c), 1.5);
-    }
-  }
-}
-
-TEST(DenseMatrixTest, ColumnNormSquared) {
-  DenseMatrix m(3, 2);
-  m.at(0, 0) = 1;
-  m.at(1, 0) = 2;
-  m.at(2, 0) = 2;
-  EXPECT_DOUBLE_EQ(m.column_norm_squared(0), 9.0);
-  EXPECT_DOUBLE_EQ(m.column_norm_squared(1), 0.0);
-}
-
-TEST(DenseMatrixTest, RowSpanViews) {
-  DenseMatrix m(2, 3);
-  m.at(1, 0) = 7.0;
-  const auto row = std::as_const(m).row(1);
-  EXPECT_EQ(row.size(), 3u);
-  EXPECT_DOUBLE_EQ(row[0], 7.0);
-  m.row(0)[2] = 9.0;
-  EXPECT_DOUBLE_EQ(m.at(0, 2), 9.0);
-}
-
-// ------------------------------------------------------------------- CSR
-
-TEST(CsrMatrixTest, FromTripletsAndAccess) {
-  const std::vector<Index> rows{0, 1, 1};
-  const std::vector<Index> cols{1, 0, 2};
-  const std::vector<double> vals{5.0, 6.0, 7.0};
-  const CsrMatrix m = CsrMatrix::from_triplets(2, 3, rows, cols, vals);
-  EXPECT_EQ(m.nonzeros(), 3);
-  EXPECT_DOUBLE_EQ(m.at(0, 1), 5.0);
-  EXPECT_DOUBLE_EQ(m.at(1, 0), 6.0);
-  EXPECT_DOUBLE_EQ(m.at(1, 2), 7.0);
-  EXPECT_DOUBLE_EQ(m.at(0, 0), 0.0);
-}
-
-TEST(CsrMatrixTest, MatvecMatchesDense) {
-  rand::Rng rng(11);
-  const pooling::PoolingGraph g =
-      pooling::make_pooling_graph(20, 12, pooling::paper_design(20), rng);
-  const DenseMatrix dense = counting_matrix(g);
-  const CsrMatrix sparse = counting_matrix_sparse(g);
-
-  std::vector<double> x(20);
-  for (auto& v : x) {
-    v = rng.uniform_real();
-  }
-  std::vector<double> y_dense(12);
-  std::vector<double> y_sparse(12);
-  dense.matvec(x, y_dense);
-  sparse.matvec(x, y_sparse);
-  for (std::size_t i = 0; i < y_dense.size(); ++i) {
-    EXPECT_NEAR(y_dense[i], y_sparse[i], 1e-12);
-  }
-
-  std::vector<double> z(12);
-  for (auto& v : z) {
-    v = rng.uniform_real();
-  }
-  std::vector<double> w_dense(20);
-  std::vector<double> w_sparse(20);
-  dense.matvec_transpose(z, w_dense);
-  sparse.matvec_transpose(z, w_sparse);
-  for (std::size_t i = 0; i < w_dense.size(); ++i) {
-    EXPECT_NEAR(w_dense[i], w_sparse[i], 1e-12);
-  }
-}
-
-TEST(CsrMatrixTest, RejectsOutOfRangeTriplets) {
-  const std::vector<Index> rows{2};
-  const std::vector<Index> cols{0};
-  const std::vector<double> vals{1.0};
-  EXPECT_THROW((void)CsrMatrix::from_triplets(2, 3, rows, cols, vals),
-               ContractViolation);
-}
-
-// -------------------------------------------------------- counting matrix
-
-TEST(CountingMatrixTest, EntriesAreMultiplicities) {
-  pooling::PoolingGraphBuilder builder(5);
-  (void)builder.add_query(std::vector<Index>{0, 0, 3});
-  (void)builder.add_query(std::vector<Index>{1, 2, 2, 2});
-  const pooling::PoolingGraph g = builder.build();
-
-  const DenseMatrix a = counting_matrix(g);
-  EXPECT_EQ(a.rows(), 2);
-  EXPECT_EQ(a.cols(), 5);
-  EXPECT_DOUBLE_EQ(a.at(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(a.at(0, 3), 1.0);
-  EXPECT_DOUBLE_EQ(a.at(0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(a.at(1, 2), 3.0);
-  EXPECT_DOUBLE_EQ(a.at(1, 1), 1.0);
-}
-
-TEST(CountingMatrixTest, RowSumsAreGamma) {
-  rand::Rng rng(12);
-  const pooling::QueryDesign d = pooling::paper_design(30);
-  const pooling::PoolingGraph g = pooling::make_pooling_graph(30, 9, d, rng);
-  const DenseMatrix a = counting_matrix(g);
-  for (Index j = 0; j < a.rows(); ++j) {
-    double sum = 0.0;
-    for (Index i = 0; i < a.cols(); ++i) {
-      sum += a.at(j, i);
-    }
-    EXPECT_DOUBLE_EQ(sum, static_cast<double>(d.gamma));
-  }
-}
-
-TEST(CountingMatrixTest, PoolSumsViaMatvec) {
-  // A·σ must equal the exact pool sums — the identity the AMP model
-  // preprocessing relies on.
-  rand::Rng rng(13);
-  const pooling::PoolingGraph g =
-      pooling::make_pooling_graph(25, 10, pooling::paper_design(25), rng);
-  const pooling::GroundTruth truth = pooling::make_ground_truth(25, 6, rng);
-  const DenseMatrix a = counting_matrix(g);
-
-  std::vector<double> sigma(25);
-  for (Index i = 0; i < 25; ++i) {
-    sigma[static_cast<std::size_t>(i)] =
-        static_cast<double>(truth.bits[static_cast<std::size_t>(i)]);
-  }
-  std::vector<double> pool_sums(10);
-  a.matvec(sigma, pool_sums);
-  for (Index j = 0; j < 10; ++j) {
-    const double expected = static_cast<double>(
-        noise::exact_pool_sum(g.query_multiset(j), truth.bits));
-    EXPECT_DOUBLE_EQ(pool_sums[static_cast<std::size_t>(j)], expected);
-  }
 }
 
 }  // namespace

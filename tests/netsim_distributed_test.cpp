@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <string>
 
 #include "amp/amp.hpp"
 #include "core/evaluation.hpp"
@@ -19,6 +22,7 @@
 #include "noise/channel.hpp"
 #include "pooling/query_design.hpp"
 #include "rand/rng.hpp"
+#include "solve/design_spec.hpp"
 
 namespace npd::netsim {
 namespace {
@@ -177,14 +181,45 @@ TEST(DistributedTopKTest, DegenerateKValues) {
 
 // -------------------------------------------------------- distributed AMP
 
-class DistributedAmpTest : public ::testing::TestWithParam<Scenario> {};
+// `design` defaults to the paper's; the sparse families exercise the
+// operator's centering on designs with Γ ≪ n.
+enum class AmpDesign : std::uint32_t { kPaper, kRegular6, kWr005 };
+
+struct AmpScenario {
+  Index n;
+  Index k;
+  Index m;
+  const char* channel;
+  std::uint32_t seed;
+  AmpDesign design = AmpDesign::kPaper;
+};
+
+const char* design_spec(AmpDesign design) {
+  switch (design) {
+    case AmpDesign::kRegular6:
+      return "regular:6";
+    case AmpDesign::kWr005:
+      return "wr:0.05";
+    case AmpDesign::kPaper:
+      break;
+  }
+  return "paper";
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+class DistributedAmpTest : public ::testing::TestWithParam<AmpScenario> {};
 
 TEST_P(DistributedAmpTest, BitIdenticalToCentralizedAmp) {
-  const Scenario s = GetParam();
+  const AmpScenario s = GetParam();
   rand::Rng rng(s.seed + 1000);
   const auto channel = make_channel(s.channel);
   const core::Instance instance = core::make_instance(
-      s.n, s.k, s.m, pooling::paper_design(s.n), *channel, rng);
+      s.n, s.k, s.m,
+      solve::parse_design_spec(design_spec(s.design)).instantiate(s.n),
+      *channel, rng);
   const auto lin = channel->linearization(s.n, s.k, s.n / 2);
   const amp::AmpProblem problem = amp::standardize(instance, lin);
   const amp::BayesBernoulliDenoiser denoiser(problem.pi);
@@ -196,21 +231,33 @@ TEST_P(DistributedAmpTest, BitIdenticalToCentralizedAmp) {
 
   ASSERT_EQ(distributed.x.size(), centralized.x.size());
   for (std::size_t i = 0; i < distributed.x.size(); ++i) {
-    EXPECT_DOUBLE_EQ(distributed.x[i], centralized.x[i]) << "agent " << i;
+    EXPECT_TRUE(same_bits(distributed.x[i], centralized.x[i]))
+        << "agent " << i << ": " << distributed.x[i] << " vs "
+        << centralized.x[i];
   }
   EXPECT_EQ(distributed.estimate, centralized.estimate);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Scenarios, DistributedAmpTest,
-    ::testing::Values(Scenario{64, 4, 30, "noiseless", 11},
-                      Scenario{100, 5, 60, "z", 12},
-                      Scenario{100, 5, 40, "gnc", 13},
-                      Scenario{128, 10, 50, "gauss", 14},
-                      Scenario{200, 6, 90, "z", 15}),
-    [](const ::testing::TestParamInfo<Scenario>& info) {
-      return std::string(info.param.channel) + "_n" +
-             std::to_string(info.param.n) + "_m" +
+    ::testing::Values(
+        AmpScenario{64, 4, 30, "noiseless", 11},
+        AmpScenario{100, 5, 60, "z", 12},
+        AmpScenario{100, 5, 40, "gnc", 13},
+        AmpScenario{128, 10, 50, "gauss", 14},
+        AmpScenario{200, 6, 90, "z", 15},
+        AmpScenario{200, 6, 70, "z", 16, AmpDesign::kRegular6},
+        AmpScenario{240, 6, 90, "gauss", 17, AmpDesign::kRegular6},
+        AmpScenario{200, 6, 90, "z", 18, AmpDesign::kWr005},
+        AmpScenario{240, 6, 110, "gnc", 19, AmpDesign::kWr005}),
+    [](const ::testing::TestParamInfo<AmpScenario>& info) {
+      std::string name = info.param.channel;
+      if (info.param.design == AmpDesign::kRegular6) {
+        name += "_regular6";
+      } else if (info.param.design == AmpDesign::kWr005) {
+        name += "_wr005";
+      }
+      return name + "_n" + std::to_string(info.param.n) + "_m" +
              std::to_string(info.param.m);
     });
 

@@ -43,7 +43,7 @@ const std::map<std::string, std::vector<std::string>>& direct_deps() {
       {"rand", {"util"}},
       {"pooling", {"rand", "util"}},
       {"noise", {"rand", "util"}},
-      {"linalg", {"pooling", "util"}},
+      {"linalg", {"util"}},
       {"core", {"noise", "pooling", "util"}},
       {"amp", {"core", "linalg", "noise", "util"}},
       {"netsim", {"amp", "core", "util"}},
