@@ -4,44 +4,88 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <utility>
 
 #include "rand/distributions.hpp"
 #include "util/assert.hpp"
 
 namespace npd::pooling {
 
+namespace {
+
+// Lifetime of the calling thread's recycling slot.  Trivially
+// destructible, so a graph dying at thread or process exit can still
+// read it after the slot's own destructor has run.
+enum class SlotState : unsigned char { Unborn, Live, Dead };
+thread_local constinit SlotState slot_state = SlotState::Unborn;
+
+// Row `j` of the CSR array pair (`offsets`, `values`).
+std::span<const Index> csr_row(const std::vector<Index>& offsets,
+                               const std::vector<Index>& values, Index j) {
+  NPD_ASSERT(j >= 0 && j + 1 < static_cast<Index>(offsets.size()));
+  const auto row = static_cast<std::size_t>(j);
+  const auto lo = static_cast<std::size_t>(offsets[row]);
+  return {values.data() + lo, static_cast<std::size_t>(offsets[row + 1]) - lo};
+}
+
+}  // namespace
+
+std::optional<PoolingGraph::Storage>* PoolingGraph::thread_slot(
+    bool create) noexcept {
+  if (slot_state == SlotState::Dead ||
+      (slot_state == SlotState::Unborn && !create)) {
+    return nullptr;
+  }
+  thread_local struct Slot {
+    Slot() noexcept { slot_state = SlotState::Live; }
+    ~Slot() { slot_state = SlotState::Dead; }
+    std::optional<Storage> storage;
+  } slot;
+  return &slot.storage;
+}
+
+void PoolingGraph::recycle() noexcept {
+  // Keep the larger set; a moved-from or edgeless graph has none to give.
+  std::optional<Storage>* const slot = thread_slot(false);
+  if (slot != nullptr && s_.query_agents.capacity() >
+                             (*slot ? (*slot)->query_agents.capacity() : 0)) {
+    *slot = std::move(s_);
+  }
+}
+
+PoolingGraph::PoolingGraph(Index n) : n_(n) {
+  std::optional<Storage>* const slot = thread_slot(true);
+  if (slot != nullptr && *slot) {
+    s_ = *std::exchange(*slot, std::nullopt);
+    s_.query_offsets.assign(1, 0);
+    s_.distinct_offsets.assign(1, 0);
+    s_.query_agents.clear();
+    s_.distinct_agents.clear();
+    s_.distinct_counts.clear();
+  }
+}
+
+PoolingGraph::~PoolingGraph() { recycle(); }
+
+PoolingGraph& PoolingGraph::operator=(PoolingGraph&& other) noexcept {
+  if (this != &other) {
+    recycle();
+    n_ = other.n_;
+    s_ = std::move(other.s_);
+  }
+  return *this;
+}
+
 std::span<const Index> PoolingGraph::query_multiset(Index j) const {
-  NPD_ASSERT(j >= 0 && j < num_queries());
-  const auto lo = static_cast<std::size_t>(query_offsets_[static_cast<std::size_t>(j)]);
-  const auto hi =
-      static_cast<std::size_t>(query_offsets_[static_cast<std::size_t>(j) + 1]);
-  return {query_agents_.data() + lo, hi - lo};
+  return csr_row(s_.query_offsets, s_.query_agents, j);
 }
 
 std::span<const Index> PoolingGraph::query_distinct(Index j) const {
-  NPD_ASSERT(j >= 0 && j < num_queries());
-  const auto lo =
-      static_cast<std::size_t>(distinct_offsets_[static_cast<std::size_t>(j)]);
-  const auto hi =
-      static_cast<std::size_t>(distinct_offsets_[static_cast<std::size_t>(j) + 1]);
-  return {distinct_agents_.data() + lo, hi - lo};
+  return csr_row(s_.distinct_offsets, s_.distinct_agents, j);
 }
 
 std::span<const Index> PoolingGraph::query_multiplicity(Index j) const {
-  NPD_ASSERT(j >= 0 && j < num_queries());
-  const auto lo =
-      static_cast<std::size_t>(distinct_offsets_[static_cast<std::size_t>(j)]);
-  const auto hi =
-      static_cast<std::size_t>(distinct_offsets_[static_cast<std::size_t>(j) + 1]);
-  return {distinct_counts_.data() + lo, hi - lo};
-}
-
-std::span<const Index> PoolingGraph::agent_queries(Index i) const {
-  NPD_ASSERT(i >= 0 && i < n_);
-  const auto lo = static_cast<std::size_t>(agent_offsets_[static_cast<std::size_t>(i)]);
-  const auto hi =
-      static_cast<std::size_t>(agent_offsets_[static_cast<std::size_t>(i) + 1]);
-  return {agent_query_ids_.data() + lo, hi - lo};
+  return csr_row(s_.distinct_offsets, s_.distinct_counts, j);
 }
 
 Index PoolingGraph::multiplicity(Index j, Index i) const {
@@ -54,10 +98,8 @@ Index PoolingGraph::multiplicity(Index j, Index i) const {
   return counts[static_cast<std::size_t>(it - agents.begin())];
 }
 
-PoolingGraphBuilder::PoolingGraphBuilder(Index n) : n_(n) {
+PoolingGraphBuilder::PoolingGraphBuilder(Index n) : n_(n), graph_(n) {
   NPD_CHECK_MSG(n > 0, "graph needs at least one agent");
-  graph_.n_ = n;
-  graph_.delta_.assign(static_cast<std::size_t>(n), 0);
   count_.assign(static_cast<std::size_t>(n), 0);
 }
 
@@ -65,11 +107,15 @@ void PoolingGraphBuilder::reserve(Index queries, Index edges) {
   NPD_CHECK(queries >= 0 && edges >= 0);
   const auto q = static_cast<std::size_t>(queries);
   const auto e = static_cast<std::size_t>(edges);
-  graph_.query_offsets_.reserve(graph_.query_offsets_.size() + q);
-  graph_.query_agents_.reserve(graph_.query_agents_.size() + e);
-  graph_.distinct_offsets_.reserve(graph_.distinct_offsets_.size() + q);
-  graph_.distinct_agents_.reserve(graph_.distinct_agents_.size() + e);
-  graph_.distinct_counts_.reserve(graph_.distinct_counts_.size() + e);
+  PoolingGraph::Storage& s = graph_.s_;
+  if (s.query_agents.empty() && s.query_agents.capacity() < e) {
+    s = PoolingGraph::Storage{};  // free first, so the new arrays reuse it
+  }
+  s.query_offsets.reserve(s.query_offsets.size() + q);
+  s.query_agents.reserve(s.query_agents.size() + e);
+  s.distinct_offsets.reserve(s.distinct_offsets.size() + q);
+  s.distinct_agents.reserve(s.distinct_agents.size() + e);
+  s.distinct_counts.reserve(s.distinct_counts.size() + e);
 }
 
 Index PoolingGraphBuilder::add_query(std::span<const Index> sampled_agents) {
@@ -84,10 +130,10 @@ Index PoolingGraphBuilder::add_query(std::span<const Index> sampled_agents) {
   }
   NPD_CHECK_MSG(in_range, "agent id out of range");
 
-  graph_.query_agents_.insert(graph_.query_agents_.end(),
-                              sampled_agents.begin(), sampled_agents.end());
-  graph_.query_offsets_.push_back(
-      static_cast<Index>(graph_.query_agents_.size()));
+  PoolingGraph::Storage& s = graph_.s_;
+  s.query_agents.insert(s.query_agents.end(), sampled_agents.begin(),
+                        sampled_agents.end());
+  s.query_offsets.push_back(static_cast<Index>(s.query_agents.size()));
 
   // Count multiplicities, recording each agent the first time it is seen
   // (branch-free: the slot is always written, the cursor only advances
@@ -101,93 +147,42 @@ Index PoolingGraphBuilder::add_query(std::span<const Index> sampled_agents) {
     distinct += static_cast<std::size_t>(count[agent]++ == 0);
   }
 
-  // Emit (agent, multiplicity) in ascending agent order, accumulating Δ_i
-  // and resetting each counter as it is read.
-  const std::size_t base = graph_.distinct_agents_.size();
-  Index* const delta = graph_.delta_.data();
-  if (distinct * 8 >= static_cast<std::size_t>(n_)) {
-    // Dense query: one branch-free scan over all n counters.  The output
-    // arrays get one slack slot, written by the trailing zero counters.
-    graph_.distinct_agents_.resize(base + distinct + 1);
-    graph_.distinct_counts_.resize(base + distinct + 1);
-    Index* const agents_out = graph_.distinct_agents_.data() + base;
-    Index* const counts_out = graph_.distinct_counts_.data() + base;
+  // Emit (agent, multiplicity) in ascending agent order, resetting each
+  // counter as it is read.  A dense query takes one branch-free scan over
+  // all n counters, which needs one slack output slot for the trailing
+  // zero counters; a sparse one sorts only its distinct agents.
+  const std::size_t base = s.distinct_agents.size();
+  const bool dense = distinct * 8 >= static_cast<std::size_t>(n_);
+  s.distinct_agents.resize(base + distinct + (dense ? 1 : 0));
+  s.distinct_counts.resize(base + distinct + (dense ? 1 : 0));
+  Index* const agents_out = s.distinct_agents.data() + base;
+  Index* const counts_out = s.distinct_counts.data() + base;
+  if (dense) {
     std::size_t w = 0;
     for (Index agent = 0; agent < n_; ++agent) {
       const Index c = count[agent];
       count[agent] = 0;
-      delta[agent] += c;
       agents_out[w] = agent;
       counts_out[w] = c;
       w += static_cast<std::size_t>(c != 0);
     }
-    graph_.distinct_agents_.pop_back();
-    graph_.distinct_counts_.pop_back();
   } else {
-    // Sparse query: sort only the distinct agents.
     std::sort(seen, seen + distinct);
-    graph_.distinct_agents_.resize(base + distinct);
-    graph_.distinct_counts_.resize(base + distinct);
-    Index* const agents_out = graph_.distinct_agents_.data() + base;
-    Index* const counts_out = graph_.distinct_counts_.data() + base;
     for (std::size_t i = 0; i < distinct; ++i) {
       const Index agent = seen[i];
-      const Index c = count[agent];
-      count[agent] = 0;
-      delta[agent] += c;
       agents_out[i] = agent;
-      counts_out[i] = c;
+      counts_out[i] = count[agent];
+      count[agent] = 0;
     }
   }
-  graph_.distinct_offsets_.push_back(
-      static_cast<Index>(graph_.distinct_agents_.size()));
-
-  return static_cast<Index>(graph_.query_offsets_.size()) - 2;
-}
-
-Index PoolingGraphBuilder::add_random_query(const QueryDesign& design,
-                                            rand::Rng& rng) {
-  sample_query_into(design, n_, rng, sample_);
-  return add_query(sample_);
-}
-
-Index PoolingGraphBuilder::num_queries_so_far() const {
-  return static_cast<Index>(graph_.query_offsets_.size()) - 1;
+  s.distinct_agents.resize(base + distinct);
+  s.distinct_counts.resize(base + distinct);
+  s.distinct_offsets.push_back(static_cast<Index>(base + distinct));
+  return static_cast<Index>(s.query_offsets.size()) - 2;
 }
 
 PoolingGraph PoolingGraphBuilder::build() {
-  const Index m = num_queries_so_far();
-  const auto n = static_cast<std::size_t>(n_);
-
-  // Counting pass over distinct incidences, then prefix sums, then fill —
-  // the classic two-pass CSR transpose.
-  std::vector<Index> counts(n, 0);
-  for (Index j = 0; j < m; ++j) {
-    for (const Index agent : graph_.query_distinct(j)) {
-      ++counts[static_cast<std::size_t>(agent)];
-    }
-  }
-  graph_.agent_offsets_.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    graph_.agent_offsets_[i + 1] = graph_.agent_offsets_[i] + counts[i];
-  }
-  graph_.agent_query_ids_.assign(
-      static_cast<std::size_t>(graph_.agent_offsets_[n]), 0);
-  std::vector<Index> cursor(graph_.agent_offsets_.begin(),
-                            graph_.agent_offsets_.end() - 1);
-  for (Index j = 0; j < m; ++j) {
-    for (const Index agent : graph_.query_distinct(j)) {
-      graph_.agent_query_ids_[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(agent)]++)] = j;
-    }
-  }
-  // Query ids were appended in ascending j, so each agent's list is sorted.
-
-  PoolingGraph result = std::move(graph_);
-  graph_ = PoolingGraph{};
-  graph_.n_ = n_;
-  graph_.delta_.assign(n, 0);
-  return result;
+  return std::exchange(graph_, PoolingGraph(n_));
 }
 
 PoolingGraph make_pooling_graph(Index n, Index m, const QueryDesign& design,
@@ -195,8 +190,10 @@ PoolingGraph make_pooling_graph(Index n, Index m, const QueryDesign& design,
   NPD_CHECK(m >= 0);
   PoolingGraphBuilder builder(n);
   builder.reserve(m, m * design.gamma);
+  std::vector<Index> sample;
   for (Index j = 0; j < m; ++j) {
-    (void)builder.add_random_query(design, rng);
+    sample_query_into(design, n, rng, sample);
+    (void)builder.add_query(sample);
   }
   return builder.build();
 }

@@ -10,24 +10,31 @@
 /// neighborhood sum Δ_i times (its edge multiplicity) but each query result
 /// is forwarded to the agent only once (distinct neighborhoods Δ*_i).
 ///
-/// The graph is stored CSR-style in both directions:
-///   * per query: the sampled multiset (Γ entries) plus the deduplicated
-///     (distinct agent, multiplicity) list,
-///   * per agent: the list of distinct incident queries.
-/// Degrees Δ_i (with multiplicity) and Δ*_i (distinct) are precomputed —
-/// they are exactly the quantities of Lemmas 3 and 4.
+/// Storage is query-side only (CSR): per query the sampled multiset and
+/// the (distinct agent, multiplicity) list — all the greedy algorithm and
+/// AMP read.  The degrees Δ_i, Δ*_i of Lemmas 3 and 4 belong to the
+/// analysis; tests derive them (tests/agent_incidence.hpp).
 ///
-/// Construction cost.  `PoolingGraphBuilder::add_query` deduplicates a
-/// query of Γ draws with Γ* distinct agents in O(Γ + min(n, Γ* log Γ*))
-/// time and no allocation once the builder's buffers have grown: it
-/// counts multiplicities into a per-builder array of n counters, then
-/// emits the distinct agents in ascending order either by one scan over
-/// all n counters (when Γ*·8 ≥ n, e.g. the paper's Γ = n/2) or by sorting
-/// the short list of first-seen agents (sparse designs, Γ* ≪ n).  The
-/// choice depends on the query alone.  Invariant: every counter is zero
-/// between calls — a query is validated in full before any state
-/// changes, and each counter is reset as the emission pass reads it.
+/// Construction.  `PoolingGraphBuilder::add_query` deduplicates a query of
+/// Γ draws with Γ* distinct agents in O(Γ + min(n, Γ* log Γ*)) time, with
+/// no allocation once its buffers have grown: it counts multiplicities
+/// into n per-builder counters, then emits the distinct agents ascending
+/// by one scan of all n counters (Γ*·8 ≥ n, e.g. the paper's Γ = n/2) or
+/// by sorting the first-seen list (sparse designs).  Invariant: every
+/// counter is zero between calls — a query is validated in full before
+/// any state changes, and each counter is reset as the emission reads it.
+///
+/// Recycled storage.  Each thread has a one-slot cache for one graph's
+/// arrays.  A dying graph (destructor, or target of a move assignment)
+/// parks its arrays there unless the slot holds larger ones; a new builder
+/// takes them, emptied, so steady-state builds write into warm pages, not
+/// pages freshly faulted from the kernel (arrays too small for a `reserve`
+/// are freed before it allocates).  Memory bound: each thread holds at most
+/// one extra graph, the size of the largest graph it has built.  Copies
+/// allocate fresh storage; moved-from graphs hand back nothing; a graph
+/// dying at thread or process exit after the slot is gone just frees.
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -45,15 +52,21 @@ class PoolingGraph {
   /// Default state: empty graph with zero agents (placeholder before a
   /// builder-produced graph is moved in).
   PoolingGraph() = default;
+  PoolingGraph(const PoolingGraph&) = default;
+  PoolingGraph(PoolingGraph&&) noexcept = default;
+  PoolingGraph& operator=(const PoolingGraph&) = default;
+  /// Both park the arrays being dropped in the thread's slot.
+  PoolingGraph& operator=(PoolingGraph&& other) noexcept;
+  ~PoolingGraph();
 
   [[nodiscard]] Index num_agents() const { return n_; }
   [[nodiscard]] Index num_queries() const {
-    return static_cast<Index>(query_offsets_.size()) - 1;
+    return static_cast<Index>(s_.query_offsets.size()) - 1;
   }
   /// Total number of edges counted with multiplicity (= Σ_j |∂a_j| = m·Γ
   /// for the paper's fixed-size design).
   [[nodiscard]] Index num_edges() const {
-    return static_cast<Index>(query_agents_.size());
+    return static_cast<Index>(s_.query_agents.size());
   }
 
   /// The sampled multiset ∂a_j of query `j` (length Γ_j, duplicates
@@ -66,38 +79,30 @@ class PoolingGraph {
   /// Multiplicities parallel to `query_distinct(j)`.
   [[nodiscard]] std::span<const Index> query_multiplicity(Index j) const;
 
-  /// Distinct queries ∂*x_i incident to agent `i`, ascending.
-  [[nodiscard]] std::span<const Index> agent_queries(Index i) const;
-
-  /// Δ_i: number of times agent `i` was sampled, over all queries.
-  [[nodiscard]] Index delta(Index i) const {
-    return delta_[static_cast<std::size_t>(i)];
-  }
-
-  /// Δ*_i: number of distinct queries containing agent `i`.
-  [[nodiscard]] Index delta_star(Index i) const {
-    return agent_offsets_[static_cast<std::size_t>(i) + 1] -
-           agent_offsets_[static_cast<std::size_t>(i)];
-  }
-
   /// Multiplicity of agent `i` in query `j` (0 if absent).  O(log Γ*).
   [[nodiscard]] Index multiplicity(Index j, Index i) const;
 
  private:
   friend class PoolingGraphBuilder;
 
+  struct Storage {
+    // Query -> sampled multiset (CSR).
+    std::vector<Index> query_offsets{0};
+    std::vector<Index> query_agents;
+    // Query -> (distinct agent, multiplicity) (CSR).
+    std::vector<Index> distinct_offsets{0};
+    std::vector<Index> distinct_agents;
+    std::vector<Index> distinct_counts;
+  };
+
+  /// This thread's slot: null once destroyed, or unborn and not `create`.
+  static std::optional<Storage>* thread_slot(bool create) noexcept;
+  void recycle() noexcept;
+  /// An empty graph on `n` agents, in the slot's arrays if it holds any.
+  explicit PoolingGraph(Index n);
+
   Index n_ = 0;
-  // Query -> sampled multiset (CSR).
-  std::vector<Index> query_offsets_{0};
-  std::vector<Index> query_agents_;
-  // Query -> (distinct agent, multiplicity) (CSR).
-  std::vector<Index> distinct_offsets_{0};
-  std::vector<Index> distinct_agents_;
-  std::vector<Index> distinct_counts_;
-  // Agent -> distinct queries (CSR) and multiplicity degree.
-  std::vector<Index> agent_offsets_;
-  std::vector<Index> agent_query_ids_;
-  std::vector<Index> delta_;
+  Storage s_;
 };
 
 /// Incremental builder: queries are added one at a time — exactly the
@@ -105,6 +110,7 @@ class PoolingGraph {
 /// other in a sequential manner").
 class PoolingGraphBuilder {
  public:
+  /// Takes the calling thread's recycled arrays, if any.
   explicit PoolingGraphBuilder(Index n);
 
   /// Reserve storage for `queries` more queries holding about `edges`
@@ -117,13 +123,11 @@ class PoolingGraphBuilder {
   /// [0, n); a rejected query leaves the builder unchanged.
   Index add_query(std::span<const Index> sampled_agents);
 
-  /// Sample and append one query using `design`; returns the query id.
-  Index add_random_query(const QueryDesign& design, rand::Rng& rng);
+  [[nodiscard]] Index num_queries_so_far() const {
+    return graph_.num_queries();
+  }
 
-  [[nodiscard]] Index num_queries_so_far() const;
-
-  /// Freeze into an immutable graph (builds the agent-side CSR).
-  /// The builder is left empty afterwards.
+  /// Freeze into an immutable graph; the builder is left empty.
   [[nodiscard]] PoolingGraph build();
 
  private:
@@ -134,8 +138,6 @@ class PoolingGraphBuilder {
   std::vector<Index> count_;
   // Distinct agents of the query being added, in first-seen order.
   std::vector<Index> first_seen_;
-  // Reused sample buffer of `add_random_query`.
-  std::vector<Index> sample_;
 };
 
 /// Convenience: the full random graph of the paper's model — `m` queries,

@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "agent_incidence.hpp"
 #include "core/concentration.hpp"
 #include "core/instance.hpp"
 #include "core/scores.hpp"
@@ -181,14 +182,17 @@ TEST(ConservationTest, DegreeTotalsMatchGraph) {
   const Instance instance =
       make_instance(90, 5, 25, pooling::paper_design(90), *channel, rng);
   const ScoreState scores = compute_scores(instance);
+  const pooling::AgentIncidence agents =
+      pooling::agent_incidence(instance.graph);
 
   Index delta_total = 0;
   Index delta_star_total = 0;
   for (Index i = 0; i < instance.n(); ++i) {
+    const auto slot = static_cast<std::size_t>(i);
     delta_total += scores.delta(i);
     delta_star_total += scores.delta_star(i);
-    EXPECT_EQ(scores.delta(i), instance.graph.delta(i));
-    EXPECT_EQ(scores.delta_star(i), instance.graph.delta_star(i));
+    EXPECT_EQ(scores.delta(i), agents.delta[slot]);
+    EXPECT_EQ(scores.delta_star(i), agents.delta_star[slot]);
   }
   EXPECT_EQ(delta_total, instance.graph.num_edges());
   Index distinct_total = 0;

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "agent_incidence.hpp"
 #include "core/instance.hpp"
 #include "core/scores.hpp"
 #include "core/theory.hpp"
@@ -97,6 +98,8 @@ TEST(ScoreStateTest, PsiIdentityAgainstBruteForce) {
   const Instance instance =
       make_instance(30, 5, 12, pooling::paper_design(30), *channel, rng);
   const ScoreState state = compute_scores(instance);
+  const pooling::AgentIncidence agents =
+      pooling::agent_incidence(instance.graph);
 
   for (Index i = 0; i < instance.n(); ++i) {
     double expected = 0.0;
@@ -109,7 +112,7 @@ TEST(ScoreStateTest, PsiIdentityAgainstBruteForce) {
     }
     EXPECT_NEAR(state.psi(i), expected, 1e-9) << "agent " << i;
     EXPECT_EQ(state.delta_star(i), expected_star);
-    EXPECT_EQ(state.delta(i), instance.graph.delta(i));
+    EXPECT_EQ(state.delta(i), agents.delta[static_cast<std::size_t>(i)]);
   }
 }
 
@@ -202,17 +205,19 @@ TEST(ScoresNoiselessTest, NeighborhoodSumDecomposition) {
   const Instance instance =
       make_instance(40, 8, 30, pooling::paper_design(40), *channel, rng);
   const ScoreState state = compute_scores(instance);
+  const pooling::AgentIncidence agents =
+      pooling::agent_incidence(instance.graph);
 
   for (Index i = 0; i < instance.n(); ++i) {
     double xi = 0.0;  // second-neighborhood observed ones
-    for (const Index j : instance.graph.agent_queries(i)) {
+    for (const Index j : agents.queries[static_cast<std::size_t>(i)]) {
       xi += instance.results[static_cast<std::size_t>(j)] -
             static_cast<double>(instance.graph.multiplicity(j, i)) *
                 instance.truth.bits[static_cast<std::size_t>(i)];
     }
     const double self_term =
         instance.truth.bits[static_cast<std::size_t>(i)] != 0
-            ? static_cast<double>(instance.graph.delta(i))
+            ? static_cast<double>(agents.delta[static_cast<std::size_t>(i)])
             : 0.0;
     EXPECT_NEAR(state.psi(i), xi + self_term, 1e-9);
   }

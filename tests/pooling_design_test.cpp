@@ -12,6 +12,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "agent_incidence.hpp"
 #include "pooling/pooling_graph.hpp"
 #include "pooling/query_design.hpp"
 #include "rand/rng.hpp"
@@ -56,10 +57,11 @@ TEST_P(DoublyRegularGridTest, ExactRowAndColumnDegrees) {
   EXPECT_EQ(g.num_agents(), t.n);
   EXPECT_EQ(g.num_queries(), t.m);
   EXPECT_EQ(g.num_edges(), t.n * t.delta);
-  for (Index i = 0; i < t.n; ++i) {
-    EXPECT_EQ(g.delta(i), t.delta) << "agent " << i;
-    EXPECT_LE(g.delta_star(i), t.delta) << "agent " << i;
-    EXPECT_GE(g.delta_star(i), 1) << "agent " << i;
+  const AgentIncidence agents = agent_incidence(g);
+  for (std::size_t i = 0; i < agents.delta.size(); ++i) {
+    EXPECT_EQ(agents.delta[i], t.delta) << "agent " << i;
+    EXPECT_LE(agents.delta_star[i], t.delta) << "agent " << i;
+    EXPECT_GE(agents.delta_star[i], 1) << "agent " << i;
   }
   for (Index j = 0; j < t.m; ++j) {
     EXPECT_EQ(static_cast<Index>(g.query_multiset(j).size()), gamma)
@@ -92,8 +94,9 @@ TEST(DoublyRegularTest, NonDivisiblePoolsDifferByAtMostOne) {
               expected_sizes[static_cast<std::size_t>(j)])
         << "pool " << j;
   }
-  for (Index i = 0; i < n; ++i) {
-    EXPECT_EQ(g.delta(i), delta) << "agent " << i;
+  const AgentIncidence agents = agent_incidence(g);
+  for (std::size_t i = 0; i < agents.delta.size(); ++i) {
+    EXPECT_EQ(agents.delta[i], delta) << "agent " << i;
   }
 }
 
@@ -153,12 +156,12 @@ TEST(DoublyRegularTest, DistinctFromBernoulliFamilyStream) {
   // Same seed, different family → different graphs.
   EXPECT_NE(query_lists(regular), query_lists(loose));
 
-  std::set<Index> regular_degrees;
-  std::set<Index> bernoulli_degrees;
-  for (Index i = 0; i < n; ++i) {
-    regular_degrees.insert(regular.delta(i));
-    bernoulli_degrees.insert(loose.delta(i));
-  }
+  const std::vector<Index> regular_delta = agent_incidence(regular).delta;
+  const std::vector<Index> bernoulli_delta = agent_incidence(loose).delta;
+  const std::set<Index> regular_degrees(regular_delta.begin(),
+                                        regular_delta.end());
+  const std::set<Index> bernoulli_degrees(bernoulli_delta.begin(),
+                                          bernoulli_delta.end());
   EXPECT_EQ(regular_degrees.size(), 1u) << "regular rows must be constant";
   EXPECT_EQ(*regular_degrees.begin(), delta);
   EXPECT_GT(bernoulli_degrees.size(), 1u)

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <string>
 
+#include "agent_incidence.hpp"
 #include "core/theory.hpp"
 #include "pooling/pooling_graph.hpp"
 #include "pooling/query_design.hpp"
@@ -32,8 +33,8 @@ class DegreeConcentrationTest : public ::testing::TestWithParam<GridPoint> {};
 TEST_P(DegreeConcentrationTest, Lemma3DeltaConcentratesAroundHalfM) {
   const GridPoint point = GetParam();
   rand::Rng rng(point.seed);
-  const PoolingGraph g =
-      make_pooling_graph(point.n, point.m, paper_design(point.n), rng);
+  const AgentIncidence g = agent_incidence(
+      make_pooling_graph(point.n, point.m, paper_design(point.n), rng));
 
   const double expected =
       static_cast<double>(point.m) * static_cast<double>(point.n / 2) /
@@ -41,10 +42,10 @@ TEST_P(DegreeConcentrationTest, Lemma3DeltaConcentratesAroundHalfM) {
   const double slack =
       std::log(static_cast<double>(point.n)) * std::sqrt(expected);
 
-  for (Index i = 0; i < g.num_agents(); ++i) {
-    EXPECT_GE(static_cast<double>(g.delta(i)), expected - slack)
+  for (std::size_t i = 0; i < g.delta.size(); ++i) {
+    EXPECT_GE(static_cast<double>(g.delta[i]), expected - slack)
         << "agent " << i << " under-sampled";
-    EXPECT_LE(static_cast<double>(g.delta(i)), expected + slack)
+    EXPECT_LE(static_cast<double>(g.delta[i]), expected + slack)
         << "agent " << i << " over-sampled";
   }
 }
@@ -52,35 +53,35 @@ TEST_P(DegreeConcentrationTest, Lemma3DeltaConcentratesAroundHalfM) {
 TEST_P(DegreeConcentrationTest, Lemma4DeltaStarRatioIsTwoGamma) {
   const GridPoint point = GetParam();
   rand::Rng rng(point.seed + 17);
-  const PoolingGraph g =
-      make_pooling_graph(point.n, point.m, paper_design(point.n), rng);
+  const AgentIncidence g = agent_incidence(
+      make_pooling_graph(point.n, point.m, paper_design(point.n), rng));
 
   // Δ*_i / Δ_i ≈ 2γ = 2(1 − e^{−1/2}) ≈ 0.7869, up to O(ln n/√Δ) noise.
   const double two_gamma = 2.0 * core::theory::gamma_constant();
   double ratio_sum = 0.0;
-  for (Index i = 0; i < g.num_agents(); ++i) {
-    ASSERT_GT(g.delta(i), 0);
+  for (std::size_t i = 0; i < g.delta.size(); ++i) {
+    ASSERT_GT(g.delta[i], 0);
     ratio_sum +=
-        static_cast<double>(g.delta_star(i)) / static_cast<double>(g.delta(i));
+        static_cast<double>(g.delta_star[i]) / static_cast<double>(g.delta[i]);
   }
-  const double mean_ratio = ratio_sum / static_cast<double>(g.num_agents());
+  const double mean_ratio = ratio_sum / static_cast<double>(point.n);
   EXPECT_NEAR(mean_ratio, two_gamma, 0.05);
 }
 
 TEST_P(DegreeConcentrationTest, Corollary5DeltaStarMean) {
   const GridPoint point = GetParam();
   rand::Rng rng(point.seed + 34);
-  const PoolingGraph g =
-      make_pooling_graph(point.n, point.m, paper_design(point.n), rng);
+  const AgentIncidence g = agent_incidence(
+      make_pooling_graph(point.n, point.m, paper_design(point.n), rng));
 
   // E[Δ*] = γ·m: each query misses agent i with prob (1 − 1/n)^Γ ≈ e^{-1/2}.
   const double expected =
       core::theory::gamma_constant() * static_cast<double>(point.m);
   double sum = 0.0;
-  for (Index i = 0; i < g.num_agents(); ++i) {
-    sum += static_cast<double>(g.delta_star(i));
+  for (const Index delta_star : g.delta_star) {
+    sum += static_cast<double>(delta_star);
   }
-  const double mean_delta_star = sum / static_cast<double>(g.num_agents());
+  const double mean_delta_star = sum / static_cast<double>(point.n);
   EXPECT_NEAR(mean_delta_star / expected, 1.0, 0.05);
 }
 

@@ -2,14 +2,22 @@
 // structural invariants of the bipartite pooling multigraph.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "agent_incidence.hpp"
+#include "core/instance.hpp"
+#include "noise/channel.hpp"
 #include "pooling/ground_truth.hpp"
 #include "pooling/pooling_graph.hpp"
 #include "pooling/query_design.hpp"
@@ -263,31 +271,32 @@ TEST(PoolingGraphTest, DegreesAccumulateAcrossQueries) {
   PoolingGraphBuilder builder(5);
   (void)builder.add_query(std::vector<Index>{0, 0, 1});
   (void)builder.add_query(std::vector<Index>{0, 2});
-  const PoolingGraph g = builder.build();
+  const AgentIncidence g = agent_incidence(builder.build());
 
-  EXPECT_EQ(g.delta(0), 3);       // sampled 2 + 1 times
-  EXPECT_EQ(g.delta_star(0), 2);  // in 2 distinct queries
-  EXPECT_EQ(g.delta(1), 1);
-  EXPECT_EQ(g.delta_star(1), 1);
-  EXPECT_EQ(g.delta(3), 0);
-  EXPECT_EQ(g.delta_star(3), 0);
+  EXPECT_EQ(g.delta[0], 3);       // sampled 2 + 1 times
+  EXPECT_EQ(g.delta_star[0], 2);  // in 2 distinct queries
+  EXPECT_EQ(g.delta[1], 1);
+  EXPECT_EQ(g.delta_star[1], 1);
+  EXPECT_EQ(g.delta[3], 0);
+  EXPECT_EQ(g.delta_star[3], 0);
 }
 
 TEST(PoolingGraphTest, AgentQueriesIsTransposeOfQueryDistinct) {
   auto rng = test_rng(8);
   const PoolingGraph g = make_pooling_graph(40, 25, paper_design(40), rng);
+  const AgentIncidence agents = agent_incidence(g);
 
   for (Index i = 0; i < g.num_agents(); ++i) {
-    for (const Index j : g.agent_queries(i)) {
+    for (const Index j : agents.queries[static_cast<std::size_t>(i)]) {
       const auto distinct = g.query_distinct(j);
       EXPECT_TRUE(std::binary_search(distinct.begin(), distinct.end(), i));
     }
   }
   Index total_agent_side = 0;
   for (Index i = 0; i < g.num_agents(); ++i) {
-    total_agent_side += g.delta_star(i);
-    EXPECT_TRUE(std::is_sorted(g.agent_queries(i).begin(),
-                               g.agent_queries(i).end()));
+    const auto& queries = agents.queries[static_cast<std::size_t>(i)];
+    total_agent_side += agents.delta_star[static_cast<std::size_t>(i)];
+    EXPECT_TRUE(std::is_sorted(queries.begin(), queries.end()));
   }
   Index total_query_side = 0;
   for (Index j = 0; j < g.num_queries(); ++j) {
@@ -303,8 +312,8 @@ TEST(PoolingGraphTest, EdgeCountIsMGamma) {
   EXPECT_EQ(g.num_edges(), 12 * d.gamma);
 
   Index delta_sum = 0;
-  for (Index i = 0; i < g.num_agents(); ++i) {
-    delta_sum += g.delta(i);
+  for (const Index delta : agent_incidence(g).delta) {
+    delta_sum += delta;
   }
   EXPECT_EQ(delta_sum, g.num_edges());
 }
@@ -312,9 +321,10 @@ TEST(PoolingGraphTest, EdgeCountIsMGamma) {
 TEST(PoolingGraphTest, DeltaStarNeverExceedsDelta) {
   auto rng = test_rng(10);
   const PoolingGraph g = make_pooling_graph(60, 30, paper_design(60), rng);
-  for (Index i = 0; i < g.num_agents(); ++i) {
-    EXPECT_LE(g.delta_star(i), g.delta(i));
-    EXPECT_LE(g.delta_star(i), g.num_queries());
+  const AgentIncidence agents = agent_incidence(g);
+  for (std::size_t i = 0; i < agents.delta.size(); ++i) {
+    EXPECT_LE(agents.delta_star[i], agents.delta[i]);
+    EXPECT_LE(agents.delta_star[i], g.num_queries());
   }
 }
 
@@ -347,7 +357,7 @@ TEST(PoolingGraphTest, BuilderIsReusableAfterBuild) {
   (void)builder.add_query(std::vector<Index>{4, 4});
   const PoolingGraph second = builder.build();
   EXPECT_EQ(second.num_queries(), 2);
-  EXPECT_EQ(second.delta(4), 2);
+  EXPECT_EQ(agent_incidence(second).delta[4], 2);
 }
 
 TEST(PoolingGraphTest, IncrementalEqualsBatch) {
@@ -360,7 +370,7 @@ TEST(PoolingGraphTest, IncrementalEqualsBatch) {
   const PoolingGraph batch = make_pooling_graph(30, 8, d, rng1);
   PoolingGraphBuilder builder(30);
   for (int j = 0; j < 8; ++j) {
-    (void)builder.add_random_query(d, rng2);
+    (void)builder.add_query(sample_query(d, 30, rng2));
   }
   const PoolingGraph inc = builder.build();
 
@@ -398,12 +408,10 @@ FlatGraph flatten(const PoolingGraph& g) {
     flat.distinct.emplace_back(distinct.begin(), distinct.end());
     flat.multiplicity.emplace_back(counts.begin(), counts.end());
   }
-  for (Index i = 0; i < g.num_agents(); ++i) {
-    const auto queries = g.agent_queries(i);
-    flat.delta.push_back(g.delta(i));
-    flat.delta_star.push_back(g.delta_star(i));
-    flat.agent_queries.emplace_back(queries.begin(), queries.end());
-  }
+  AgentIncidence agents = agent_incidence(g);
+  flat.delta = std::move(agents.delta);
+  flat.delta_star = std::move(agents.delta_star);
+  flat.agent_queries = std::move(agents.queries);
   return flat;
 }
 
@@ -592,14 +600,185 @@ TEST(PoolingGraphDedupTest, ConcurrentBuildsMatchSequentialBuilds) {
   }
 }
 
+// ------------------------------------------------------ recycled storage
+//
+// A dying graph parks its arrays in a per-thread slot and the next
+// builder on that thread takes them over.  These tests first fill the
+// slot with a large paper graph's arrays, so every later build writes
+// over stale entries; the result must still match the reference.
+
+PoolingGraph large_paper_graph() {
+  auto rng = test_rng(40);
+  return make_pooling_graph(1000, 600, paper_design(1000), rng);
+}
+
+// Build and destroy a large graph, leaving its arrays in the slot.
+void prime_slot() { (void)large_paper_graph(); }
+
+// `make()` run on a thread of its own, whose slot has never held arrays.
+FlatGraph flatten_on_fresh_thread(const std::function<PoolingGraph()>& make) {
+  FlatGraph flat;
+  std::thread([&] { flat = flatten(make()); }).join();
+  return flat;
+}
+
+// The reference for what `make()` builds: the sort-and-run-length
+// derivation from the multisets a fresh-thread build samples.
+void expect_matches_reference(const PoolingGraph& g,
+                              const std::function<PoolingGraph()>& make,
+                              const std::string& context) {
+  expect_equal(flatten(g),
+               reference_graph(g.num_agents(),
+                               flatten_on_fresh_thread(make).multisets),
+               context);
+}
+
+TEST(PoolingGraphTest, RecycledStorageMatchesReference) {
+  const Index n = 200;
+  const Index m = 70;  // regular:6 has n·Δ = 1200 = 17·70 + 10
+  std::vector<std::pair<std::string, std::function<PoolingGraph()>>> makers;
+  for (const char* spec :
+       {"paper", "wr:0.3", "wor:0.25", "bernoulli:0.1", "regular:6"}) {
+    const GraphDesign design = solve::parse_design_spec(spec).instantiate(n);
+    makers.emplace_back(spec, [=] {
+      auto rng = test_rng(41);
+      return build_design_graph(n, m, design, rng);
+    });
+  }
+  makers.emplace_back("ccw:5", [=] {
+    auto rng = test_rng(41);
+    return make_constant_column_weight_graph(n, m, 5, rng);
+  });
+  const auto& make = makers.front().second;
+  const auto& make_other = makers.back().second;
+
+  for (const auto& [name, maker] : makers) {
+    prime_slot();
+    expect_matches_reference(maker(), maker, name);
+  }
+
+  // A builder that rejected a query.
+  prime_slot();
+  {
+    PoolingGraphBuilder builder(n);
+    const std::vector<Index> first{5, 5, 199, 0};
+    const std::vector<Index> second{7, 3, 7};
+    (void)builder.add_query(first);
+    EXPECT_THROW((void)builder.add_query(std::vector<Index>{1, n}),
+                 ContractViolation);
+    (void)builder.add_query(second);
+    expect_equal(flatten(builder.build()), reference_graph(n, {first, second}),
+                 "rejected query");
+  }
+
+  // A move assignment over a live graph parks the target's old arrays;
+  // the next build takes them.
+  prime_slot();
+  {
+    PoolingGraph target = make();
+    target = make_other();
+    expect_matches_reference(target, make_other, "move-assigned target");
+    expect_matches_reference(make(), make, "build after move assignment");
+  }
+
+  // A copy destroyed before its source, then one destroyed after it.
+  prime_slot();
+  {
+    const PoolingGraph source = make();
+    {
+      // NOLINTNEXTLINE(performance-unnecessary-copy-initialization)
+      const PoolingGraph copy = source;
+      expect_matches_reference(copy, make, "copy");
+    }
+    expect_matches_reference(source, make, "source outliving its copy");
+    expect_matches_reference(make_other(), make_other, "build after copy");
+  }
+  prime_slot();
+  {
+    std::optional<PoolingGraph> source = make();
+    const PoolingGraph copy = *source;
+    source.reset();
+    expect_matches_reference(make_other(), make_other, "build after source");
+    expect_matches_reference(copy, make, "copy outliving its source");
+  }
+
+  // Built on one thread, destroyed on another whose slot is live.
+  {
+    std::optional<PoolingGraph> travelling;
+    std::thread([&] { travelling = large_paper_graph(); }).join();
+    std::thread([&] {
+      expect_matches_reference(make(), make, "receiving thread");
+      travelling.reset();
+      expect_matches_reference(make_other(), make_other,
+                               "build over another thread's arrays");
+    }).join();
+  }
+
+  // A graph in a `thread_local` destroyed at thread exit: once after its
+  // thread's slot is gone (the graph was constructed first), once before.
+  std::thread([&] {
+    thread_local PoolingGraph held;
+    held = make();
+    expect_matches_reference(held, make, "thread_local, slot dies first");
+  }).join();
+  std::thread([&] {
+    prime_slot();
+    thread_local PoolingGraph held;
+    held = make();
+    expect_matches_reference(held, make, "thread_local, graph dies first");
+  }).join();
+}
+
+// A whole instance made right after a large one equals the same instance
+// made on a fresh thread: recycled graph storage leaks into no result.
+TEST(PoolingGraphTest, RecycledStorageLeavesInstancesUnchanged) {
+  const auto channel = noise::make_bitflip_channel(0.05, 0.01);
+  const auto make = [&] {
+    auto rng = test_rng(42);
+    return core::make_instance(200, 8, 70, paper_design(200), *channel, rng);
+  };
+  {
+    auto rng = test_rng(43);
+    (void)core::make_instance(1000, 30, 600, paper_design(1000), *channel,
+                              rng);
+  }
+  const core::Instance recycled = make();
+  std::optional<core::Instance> fresh;
+  std::thread([&] { fresh = make(); }).join();
+  EXPECT_EQ(recycled.truth.bits, fresh->truth.bits);
+  EXPECT_EQ(recycled.results, fresh->results);
+  expect_equal(flatten(recycled.graph), flatten(fresh->graph), "instance");
+}
+
+// Steady-state builds write into the previous graph's warm pages: after
+// the first build, a paper graph at n = 1000, m = 600 takes a handful of
+// minor page faults instead of the ~1,400 that fresh storage costs.
+TEST(PoolingGraphTest, SteadyStateBuildReusesPages) {
+#ifdef NPD_SANITIZED_BUILD
+  GTEST_SKIP() << "sanitizer allocators quarantine freed memory";
+#endif
+  const auto minor_faults = [] {
+    rusage usage{};
+    getrusage(RUSAGE_THREAD, &usage);
+    return usage.ru_minflt;
+  };
+  prime_slot();
+  for (int build = 2; build <= 9; ++build) {
+    const auto before = minor_faults();
+    prime_slot();
+    EXPECT_LT(minor_faults() - before, 32) << "build " << build;
+  }
+}
+
 // ----------------------------------------------- constant column weight
 
 TEST(CcwGraphTest, EveryAgentHasExactWeight) {
   auto rng = test_rng(12);
-  const PoolingGraph g = make_constant_column_weight_graph(50, 20, 5, rng);
-  for (Index i = 0; i < g.num_agents(); ++i) {
-    EXPECT_EQ(g.delta_star(i), 5);
-    EXPECT_GE(g.delta(i), 5);  // padding may add at most a few more
+  const AgentIncidence g =
+      agent_incidence(make_constant_column_weight_graph(50, 20, 5, rng));
+  for (std::size_t i = 0; i < g.delta.size(); ++i) {
+    EXPECT_EQ(g.delta_star[i], 5);
+    EXPECT_GE(g.delta[i], 5);  // padding may add at most a few more
   }
 }
 
