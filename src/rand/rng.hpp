@@ -59,7 +59,13 @@ class Rng {
   /// Children with distinct tags (or from distinct parents) are
   /// statistically independent for our purposes.
   [[nodiscard]] Rng derive(std::uint64_t tag) const {
-    return Rng(splitmix64(seed_ ^ splitmix64(tag + 0x1234567ULL)));
+    return Rng(derive_seed(seed_, tag));
+  }
+
+  /// The seed of `Rng(seed).derive(tag)`, without seeding either engine.
+  [[nodiscard]] static constexpr std::uint64_t derive_seed(std::uint64_t seed,
+                                                           std::uint64_t tag) {
+    return splitmix64(seed ^ splitmix64(tag + 0x1234567ULL));
   }
 
   /// Raw 64 random bits (UniformRandomBitGenerator interface).

@@ -936,6 +936,18 @@ TEST(RunBatchTest, BadScenarioParametersAreInvalidArguments) {
   EXPECT_THROW((void)run("fig3", "lambda", "-1"), std::invalid_argument);
   EXPECT_THROW((void)run("fixed_m", "theta", "0"), std::invalid_argument);
   EXPECT_THROW((void)run("fixed_m", "p", "1"), std::invalid_argument);
+  EXPECT_THROW((void)run("abl7", "p", "1.5"), std::invalid_argument);
+  EXPECT_THROW((void)run("abl7", "theta", "2"), std::invalid_argument);
+  EXPECT_THROW((void)run("abl7", "max_n", "50"), std::invalid_argument);
+  EXPECT_THROW((void)run("fig5", "theta", "0"), std::invalid_argument);
+  // The error names the scenario that was run, aliases included.
+  try {
+    (void)run("fixed_m_amp", "m_points", "0");
+    ADD_FAILURE() << "fixed_m_amp accepted m_points = 0";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()).rfind("fixed_m_amp: ", 0), 0u)
+        << error.what();
+  }
 }
 
 TEST(RunBatchTest, FixedMSolverParameterIsPlumbedThrough) {

@@ -1,8 +1,7 @@
-// Tests for the parallel-for helper and the ASCII plot renderer.
+// Tests for the parallel-for helper.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <numeric>
@@ -10,7 +9,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "util/ascii_plot.hpp"
 #include "util/assert.hpp"
 #include "util/parallel.hpp"
 
@@ -159,102 +157,6 @@ TEST(ParallelForTest, ExceptionPropagatedWithLargeGrain) {
           },
           32),
       std::runtime_error);
-}
-
-// -------------------------------------------------------------- ascii plot
-
-TEST(AsciiPlotTest, RendersMarkersAndLegend) {
-  PlotSeries s{.label = "series-one",
-               .x = {1.0, 2.0, 3.0},
-               .y = {1.0, 2.0, 3.0},
-               .marker = '@'};
-  PlotOptions titled;
-  titled.title = "T";
-  const std::string out = render_plot({s}, titled);
-  EXPECT_NE(out.find('@'), std::string::npos);
-  EXPECT_NE(out.find("series-one"), std::string::npos);
-  EXPECT_NE(out.find("T"), std::string::npos);
-}
-
-TEST(AsciiPlotTest, CornersLandAtExtremes) {
-  PlotSeries s{.label = "d",
-               .x = {0.0, 10.0},
-               .y = {0.0, 10.0},
-               .marker = '#'};
-  PlotOptions opts;
-  opts.width = 20;
-  opts.height = 5;
-  const std::string out = render_plot({s}, opts);
-  // First canvas row (top) must contain the max point's marker at the far
-  // right; bottom row the min point's marker at the far left.
-  std::vector<std::string> lines;
-  std::size_t pos = 0;
-  while (pos < out.size()) {
-    const std::size_t eol = out.find('\n', pos);
-    lines.push_back(out.substr(pos, eol - pos));
-    pos = eol + 1;
-  }
-  EXPECT_EQ(lines[0].back(), '#');                       // top-right
-  EXPECT_EQ(lines[4][lines[4].find('|') + 1], '#');      // bottom-left
-}
-
-TEST(AsciiPlotTest, LogScaleSkipsNonPositive) {
-  PlotSeries s{.label = "mixed",
-               .x = {-1.0, 0.0, 10.0, 100.0},
-               .y = {5.0, 5.0, 5.0, 5.0},
-               .marker = 'x'};
-  PlotOptions opts;
-  opts.x_scale = AxisScale::Log10;
-  const std::string out = render_plot({s}, opts);
-  // Only the two positive-x points plot; output must still render.
-  EXPECT_NE(out.find('x'), std::string::npos);
-  EXPECT_NE(out.find("10"), std::string::npos);
-  EXPECT_NE(out.find("100"), std::string::npos);
-}
-
-TEST(AsciiPlotTest, EmptyInputDegradesGracefully) {
-  const std::string out = render_plot({}, PlotOptions{});
-  EXPECT_NE(out.find("no plottable points"), std::string::npos);
-  PlotSeries s{.label = "only-bad", .x = {-1.0}, .y = {1.0}, .marker = 'x'};
-  PlotOptions opts;
-  opts.x_scale = AxisScale::Log10;
-  EXPECT_NE(render_plot({s}, opts).find("no plottable points"),
-            std::string::npos);
-}
-
-TEST(AsciiPlotTest, FlatSeriesDoesNotDivideByZero) {
-  PlotSeries s{.label = "flat",
-               .x = {1.0, 2.0, 3.0},
-               .y = {7.0, 7.0, 7.0},
-               .marker = 'o'};
-  const std::string out = render_plot({s}, PlotOptions{});
-  EXPECT_NE(out.find('o'), std::string::npos);
-}
-
-TEST(AsciiPlotTest, ArityMismatchRejected) {
-  PlotSeries s{.label = "bad", .x = {1.0, 2.0}, .y = {1.0}, .marker = 'x'};
-  EXPECT_THROW((void)render_plot({s}, PlotOptions{}), ContractViolation);
-}
-
-TEST(AsciiPlotTest, TinyCanvasRejected) {
-  PlotOptions opts;
-  opts.width = 2;
-  EXPECT_THROW((void)render_plot({}, opts), ContractViolation);
-}
-
-TEST(AsciiPlotTest, LaterSeriesWinsSharedCells) {
-  PlotSeries first{.label = "a", .x = {1.0}, .y = {1.0}, .marker = 'A'};
-  PlotSeries second{.label = "b", .x = {1.0}, .y = {1.0}, .marker = 'B'};
-  // Add a far-away anchor so the shared point is interior.
-  first.x.push_back(2.0);
-  first.y.push_back(2.0);
-  second.x.push_back(2.0);
-  second.y.push_back(2.0);
-  const std::string out = render_plot({first, second}, PlotOptions{});
-  // 'A' is fully overdrawn on the canvas and appears only in the legend;
-  // 'B' occupies both shared cells plus its legend line.
-  EXPECT_EQ(std::count(out.begin(), out.end(), 'A'), 1);
-  EXPECT_GE(std::count(out.begin(), out.end(), 'B'), 3);
 }
 
 }  // namespace

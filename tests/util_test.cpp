@@ -1,4 +1,4 @@
-// Unit tests for src/util: contracts, CLI parsing, CSV, tables, logging.
+// Unit tests for src/util: contracts, CLI parsing, CSV, tables, timers.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "util/assert.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
-#include "util/log.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
@@ -227,16 +226,6 @@ TEST(TableTest, DoubleRowsAreFormatted) {
   t.add_row_doubles({2.0});
   EXPECT_NE(t.render().find("2"), std::string::npos);
   EXPECT_EQ(t.row_count(), 1u);
-}
-
-// ------------------------------------------------------------------- log
-
-TEST(LogTest, ThresholdSuppressesLowerLevels) {
-  set_log_level(LogLevel::Warn);
-  EXPECT_EQ(log_level(), LogLevel::Warn);
-  // Only checks state transitions; output goes to stderr by design.
-  set_log_level(LogLevel::Info);
-  EXPECT_EQ(log_level(), LogLevel::Info);
 }
 
 // ----------------------------------------------------------------- timer

@@ -1,6 +1,7 @@
 # Golden report hashes: every registered scenario, run on its own at
-# small parameters, must produce a `--no-perf` report whose SHA-256
-# matches the committed value below.  The hashes pin the report bytes of
+# small parameters with 1 and with 3 worker threads, must produce a
+# `--no-perf` report whose SHA-256 matches the committed value below —
+# the same value for both thread counts.  The hashes pin the report bytes of
 # all scenarios (deprecated aliases included), so a refactor of the
 # scenario code, the engine or the solvers proves it changed no result by
 # leaving this list untouched.  A change that moves results on purpose
@@ -22,7 +23,8 @@ file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
 # scenario, its --params ('-' = defaults), SHA-256 of the report written by
-#   npd_run --scenarios <scenario> --reps 2 --seed 7 --no-perf --params ...
+#   npd_run --scenarios <scenario> --reps 2 --seed 7 --threads {1,3} --no-perf
+#           --params ...
 set(GOLDEN
   "abl1              abl1.n=200
      70eafc6f0a04ffc972e5da5f410eec698326d78a4a22eb2c791fce4fc922ddf9"
@@ -86,26 +88,31 @@ foreach(row IN LISTS GOLDEN)
   list(GET fields 2 expected)
   list(APPEND golden_names "${scenario}")
 
-  set(args --scenarios "${scenario}" --reps 2 --seed 7 --threads 1
-           --no-perf --quiet --out "${WORK_DIR}/${scenario}.json")
-  if(NOT params STREQUAL "-")
-    list(APPEND args --params "${params}")
-  endif()
-  execute_process(COMMAND "${NPD_RUN}" ${args}
-    RESULT_VARIABLE result
-    OUTPUT_VARIABLE output
-    ERROR_VARIABLE output)
-  if(NOT result EQUAL 0)
-    message(FATAL_ERROR "npd_run failed on '${scenario}' (${result}):\n${output}")
-  endif()
+  foreach(threads 1 3)
+    set(report "${WORK_DIR}/${scenario}.t${threads}.json")
+    set(args --scenarios "${scenario}" --reps 2 --seed 7 --threads ${threads}
+             --no-perf --quiet --out "${report}")
+    if(NOT params STREQUAL "-")
+      list(APPEND args --params "${params}")
+    endif()
+    execute_process(COMMAND "${NPD_RUN}" ${args}
+      RESULT_VARIABLE result
+      OUTPUT_VARIABLE output
+      ERROR_VARIABLE output)
+    if(NOT result EQUAL 0)
+      message(FATAL_ERROR "npd_run failed on '${scenario}' at --threads "
+        "${threads} (${result}):\n${output}")
+    endif()
 
-  file(SHA256 "${WORK_DIR}/${scenario}.json" actual)
-  if(actual STREQUAL expected)
-    message(STATUS "${scenario}: golden")
-  else()
-    list(APPEND failures "${scenario}")
-    message(STATUS "${scenario}: report SHA-256 ${actual} != golden ${expected}")
-  endif()
+    file(SHA256 "${report}" actual)
+    if(actual STREQUAL expected)
+      message(STATUS "${scenario} --threads ${threads}: golden")
+    else()
+      list(APPEND failures "${scenario}(--threads ${threads})")
+      message(STATUS "${scenario} --threads ${threads}: report SHA-256 "
+        "${actual} != golden ${expected}")
+    endif()
+  endforeach()
 endforeach()
 
 list(SORT registered)
