@@ -139,8 +139,6 @@ void Server::reader_loop(const std::shared_ptr<Connection>& connection) {
       const std::lock_guard<std::mutex> lock(queue_mutex_);
       queue_.push_back(QueuedSolve{connection, std::move(request),
                                    clock_.elapsed_seconds()});
-      metrics::gauge("serve.queue.depth",
-                     static_cast<std::int64_t>(queue_.size()));
     }
     queue_cv_.notify_all();
   }
@@ -179,6 +177,8 @@ void Server::batcher_loop() {
       batch.push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
+    // Only this thread writes the gauge: one cell, whose last write is
+    // the depth the batcher left behind (0 once the load drains).
     metrics::gauge("serve.queue.depth",
                    static_cast<std::int64_t>(queue_.size()));
     lock.unlock();
@@ -188,10 +188,6 @@ void Server::batcher_loop() {
     for (const QueuedSolve& item : batch) {
       requests.push_back(item.request);
     }
-    const std::int64_t hits_before =
-        counters().design_cache_hits.load(std::memory_order_relaxed);
-    const std::int64_t misses_before =
-        counters().design_cache_misses.load(std::memory_order_relaxed);
 
     std::vector<Json> responses;
     try {
@@ -220,17 +216,6 @@ void Server::batcher_loop() {
                       static_cast<std::int64_t>(batch.size());
     last_activity_s_.store(clock_.elapsed_seconds(),
                            std::memory_order_relaxed);
-
-    if (options_.progress != nullptr) {
-      options_.progress->add_done(static_cast<std::int64_t>(batch.size()));
-      options_.progress->add_cache_hits(
-          counters().design_cache_hits.load(std::memory_order_relaxed) -
-          hits_before);
-      options_.progress->add_cache_misses(
-          counters().design_cache_misses.load(std::memory_order_relaxed) -
-          misses_before);
-      options_.progress->set_current(batch.back().request.scenario, -1);
-    }
     if (options_.max_requests > 0 && sent >= options_.max_requests) {
       request_shutdown();
     }

@@ -38,7 +38,6 @@
 #include "engine/scenario.hpp"
 #include "serve/protocol.hpp"
 #include "serve/service.hpp"
-#include "util/heartbeat.hpp"
 #include "util/socket.hpp"
 #include "util/timer.hpp"
 #include "util/types.hpp"
@@ -67,9 +66,6 @@ struct ServerOptions {
   double idle_timeout_ms = 0.0;
   /// External shutdown flag (the tool's signal handler sets it).
   const std::atomic<bool>* external_stop = nullptr;
-  /// Optional heartbeat rail: responses count as jobs done, design
-  /// cache hits/misses map onto the cache fields.
-  heartbeat::ProgressCounters* progress = nullptr;
 };
 
 class Server {
@@ -96,9 +92,6 @@ class Server {
   /// `ServerOptions::external_stop`).
   void request_shutdown();
 
-  [[nodiscard]] const ServiceCounters& counters() const {
-    return service_.counters();
-  }
   [[nodiscard]] std::int64_t responses_sent() const {
     return responses_sent_.load(std::memory_order_relaxed);
   }

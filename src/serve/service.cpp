@@ -57,11 +57,9 @@ Service::Service(const engine::ScenarioRegistry& registry,
 const ResolvedDesign* Service::resolve(const Request& request) {
   const std::string key = design_cache_key(request.scenario, request.params);
   if (const ResolvedDesign* hit = cache_.find(key)) {
-    counters_.design_cache_hits.fetch_add(1, std::memory_order_relaxed);
     metrics::counter("serve.design_cache.hit");
     return hit;
   }
-  counters_.design_cache_misses.fetch_add(1, std::memory_order_relaxed);
   metrics::counter("serve.design_cache.miss");
 
   const engine::Scenario* scenario = registry_.find(request.scenario);
@@ -136,7 +134,6 @@ std::vector<Json> Service::execute(const std::vector<Request>& requests) {
     } catch (const std::exception& error) {
       entry.response = make_error_response(request.id, error.what());
       entry.done = true;
-      counters_.errors.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
@@ -144,14 +141,11 @@ std::vector<Json> Service::execute(const std::vector<Request>& requests) {
   std::vector<engine::JobResult> results;
   if (batch_jobs > 0) {
     results = queue.run(config_.threads);
-    counters_.batches.fetch_add(1, std::memory_order_relaxed);
-    counters_.jobs.fetch_add(batch_jobs, std::memory_order_relaxed);
     metrics::counter("serve.batches");
     metrics::counter("serve.jobs", batch_jobs);
     metrics::observe("serve.batch.jobs", static_cast<double>(batch_jobs));
   }
   if (solve_count > 0) {
-    counters_.requests.fetch_add(solve_count, std::memory_order_relaxed);
     metrics::counter("serve.requests", solve_count);
     metrics::observe("serve.batch.requests",
                      static_cast<double>(solve_count));
@@ -169,7 +163,6 @@ std::vector<Json> Service::execute(const std::vector<Request>& requests) {
       if (entry.failure->failed) {
         responses.push_back(make_error_response(
             entry.request->id, "job failed: " + entry.failure->message));
-        counters_.errors.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
     }

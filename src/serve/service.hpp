@@ -21,7 +21,6 @@
 /// request's error response) — one poisoned request in a micro-batch
 /// must not take down its neighbours, let alone the daemon.
 
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -43,20 +42,12 @@ struct ServiceConfig {
   Index design_cache_capacity = 64;
 };
 
-/// Monotonic service totals, readable concurrently from the heartbeat
-/// thread while the batch executor updates them.
-struct ServiceCounters {
-  std::atomic<std::int64_t> requests{0};  ///< solve requests answered
-  std::atomic<std::int64_t> batches{0};   ///< micro-batches executed
-  std::atomic<std::int64_t> jobs{0};      ///< engine jobs run
-  std::atomic<std::int64_t> errors{0};    ///< error responses built
-  std::atomic<std::int64_t> design_cache_hits{0};
-  std::atomic<std::int64_t> design_cache_misses{0};
-};
-
 /// One service instance over one scenario registry.  `execute` is not
 /// thread-safe (the daemon funnels every micro-batch through a single
-/// batcher thread); the counters are.
+/// batcher thread).  It counts into the metrics registry:
+/// `serve.requests`, `serve.batches`, `serve.jobs` and
+/// `serve.design_cache.{hit,miss}`, plus the `serve.batch.jobs` /
+/// `serve.batch.requests` histograms.
 class Service {
  public:
   Service(const engine::ScenarioRegistry& registry, ServiceConfig config);
@@ -70,8 +61,6 @@ class Service {
   /// Convenience for the unbatched path (and tests).
   [[nodiscard]] Json execute_one(const Request& request);
 
-  [[nodiscard]] const ServiceCounters& counters() const { return counters_; }
-
  private:
   /// Resolve via the design cache (miss = resolve defaults + packed
   /// overrides and insert).  Throws `std::invalid_argument` on unknown
@@ -81,7 +70,6 @@ class Service {
   const engine::ScenarioRegistry& registry_;
   ServiceConfig config_;
   DesignCache cache_;
-  ServiceCounters counters_;
 };
 
 }  // namespace npd::serve

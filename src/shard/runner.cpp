@@ -29,13 +29,9 @@ std::string job_cache_key(const engine::BatchPlan& plan, Index job) {
 
 RunJobsOutcome run_jobs(const engine::BatchPlan& plan,
                         const std::vector<Index>& job_indices, Index threads,
-                        const ResultCache* cache,
-                        heartbeat::ProgressCounters* progress) {
+                        const ResultCache* cache) {
   RunJobsOutcome outcome;
   outcome.results.resize(job_indices.size());
-  if (progress != nullptr) {
-    progress->set_jobs_total(static_cast<std::int64_t>(job_indices.size()));
-  }
 
   // One prefix per scenario, not per job: the params dump dominates the
   // key-construction cost on large sweeps.
@@ -53,34 +49,26 @@ RunJobsOutcome run_jobs(const engine::BatchPlan& plan,
 
   // Telemetry wrapper around an executed job's body: a span named after
   // the owning scenario (nested inside the queue's per-job span, on the
-  // same worker), live progress updates, and — when `key` is non-empty —
-  // the persist-on-finish cache store.  Out-of-band by construction:
-  // the metrics pass through untouched.  `store` must stay *inside* the
+  // same worker), the `jobs.executed` count, and — when `key` is
+  // non-empty — the persist-on-finish cache store.  Out-of-band by
+  // construction: the metrics pass through untouched.  `store` must stay *inside* the
   // wrapper (on the worker, before the rest of the queue drains) so a
   // run killed mid-shard leaves every completed job on disk for the
   // resume (store is thread-safe: unique temp names + atomic rename).
-  const bool instrument =
-      trace::enabled() || metrics::enabled() || progress != nullptr;
+  const bool instrument = trace::enabled() || metrics::enabled();
   const auto wrap = [&](const engine::Job& planned, Index job,
                         std::string key) {
     engine::Job wrapped = planned;
     const engine::PlannedScenario& s =
         plan.scenarios[static_cast<std::size_t>(plan.scenario_of(job))];
     wrapped.run = [inner = planned.run, cache, key = std::move(key),
-                   progress, scenario = s.scenario->name(),
-                   cell = planned.cell](rand::Rng& rng) {
-      if (progress != nullptr) {
-        progress->set_current(scenario, cell);
-      }
+                   scenario = s.scenario->name()](rand::Rng& rng) {
       const trace::Span span(scenario);
       engine::Metrics metrics = inner(rng);
       if (!key.empty()) {
         cache->store(key, metrics);
       }
       metrics::counter("jobs.executed");
-      if (progress != nullptr) {
-        progress->add_done();
-      }
       return metrics;
     };
     return wrapped;
@@ -108,16 +96,9 @@ RunJobsOutcome run_jobs(const engine::BatchPlan& plan,
         ++outcome.cache_hits;
         metrics::counter("cache.hits");
         metrics::counter("jobs.replayed");
-        if (progress != nullptr) {
-          progress->add_cache_hits();
-          progress->add_done();
-        }
         continue;
       }
       metrics::counter("cache.misses");
-      if (progress != nullptr) {
-        progress->add_cache_misses();
-      }
       (void)queue.push(wrap(planned, job, std::move(key)));
     } else if (instrument) {
       (void)queue.push(wrap(planned, job, std::string()));

@@ -18,7 +18,6 @@
 
 #include "engine/engine.hpp"
 #include "shard/result_cache.hpp"
-#include "util/heartbeat.hpp"
 
 namespace npd::shard {
 
@@ -48,16 +47,13 @@ struct RunJobsOutcome {
 ///
 /// Telemetry (strictly out-of-band; the result bytes are identical with
 /// or without it): when tracing is enabled, every executed job runs
-/// under a span named after its scenario and the `cache.hits` /
-/// `cache.misses` / `jobs.executed` / `jobs.replayed` counters are
-/// maintained; when `progress` is non-null, it receives the job total
-/// up front and live done/hit/miss/current-job updates as the shard
-/// runs (the feed behind `--heartbeat` and `npd_launch --watch`).
+/// under a span named after its scenario; when the metrics registry is
+/// enabled, the `cache.hits` / `cache.misses` / `jobs.executed` /
+/// `jobs.replayed` counters are maintained live as the shard runs (the
+/// feed behind `--heartbeat` and `npd_launch --watch`).
 [[nodiscard]] RunJobsOutcome run_jobs(const engine::BatchPlan& plan,
                                       const std::vector<Index>& job_indices,
                                       Index threads,
-                                      const ResultCache* cache,
-                                      heartbeat::ProgressCounters* progress =
-                                          nullptr);
+                                      const ResultCache* cache);
 
 }  // namespace npd::shard

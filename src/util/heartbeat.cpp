@@ -4,6 +4,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "util/assert.hpp"
 #include "util/file.hpp"
 
 namespace npd::heartbeat {
@@ -11,6 +12,12 @@ namespace npd::heartbeat {
 namespace {
 
 constexpr std::string_view kSchema = "npd.heartbeat/1";
+
+/// The document text of `heartbeat`, stamped with the current time.
+std::string stamped_text(Heartbeat heartbeat) {
+  heartbeat.updated_unix = now_unix_seconds();
+  return to_json(heartbeat).dump(2) + "\n";
+}
 
 }  // namespace
 
@@ -32,8 +39,6 @@ Json to_json(const Heartbeat& heartbeat) {
       .set("jobs_total", heartbeat.jobs_total)
       .set("cache_hits", heartbeat.cache_hits)
       .set("cache_misses", heartbeat.cache_misses)
-      .set("scenario", heartbeat.scenario)
-      .set("cell", heartbeat.cell)
       .set("updated_unix", heartbeat.updated_unix)
       .set("done", heartbeat.done);
   return doc;
@@ -59,18 +64,14 @@ std::optional<Heartbeat> from_json(const Json& doc) {
       !read_int("jobs_done", heartbeat.jobs_done) ||
       !read_int("jobs_total", heartbeat.jobs_total) ||
       !read_int("cache_hits", heartbeat.cache_hits) ||
-      !read_int("cache_misses", heartbeat.cache_misses) ||
-      !read_int("cell", heartbeat.cell)) {
+      !read_int("cache_misses", heartbeat.cache_misses)) {
     return std::nullopt;
   }
-  const Json* scenario = doc.find("scenario");
   const Json* updated = doc.find("updated_unix");
   const Json* done = doc.find("done");
-  if (scenario == nullptr || !scenario->is_string() || updated == nullptr ||
-      !updated->is_number() || done == nullptr) {
+  if (updated == nullptr || !updated->is_number() || done == nullptr) {
     return std::nullopt;
   }
-  heartbeat.scenario = scenario->as_string();
   heartbeat.updated_unix = updated->as_double();
   heartbeat.done = done->as_bool();
   return heartbeat;
@@ -78,8 +79,7 @@ std::optional<Heartbeat> from_json(const Json& doc) {
 
 bool write_heartbeat(const std::filesystem::path& path,
                      Heartbeat heartbeat) {
-  heartbeat.updated_unix = now_unix_seconds();
-  return write_file_atomically(path, to_json(heartbeat).dump(2) + "\n");
+  return write_file_atomically(path, stamped_text(heartbeat));
 }
 
 std::optional<Heartbeat> read_heartbeat(const std::filesystem::path& path) {
@@ -94,71 +94,68 @@ std::optional<Heartbeat> read_heartbeat(const std::filesystem::path& path) {
   }
 }
 
-void ProgressCounters::set_current(const std::string& scenario, Index cell) {
-  const std::lock_guard<std::mutex> lock(current_mutex_);
-  current_scenario_ = scenario;
-  current_cell_ = cell;
+Heartbeat project(Heartbeat identity, const Projection& projection,
+                  const metrics::MetricsSnapshot& snapshot) {
+  identity.jobs_done = 0;
+  for (const std::string& name : projection.jobs_done) {
+    identity.jobs_done += snapshot.counter(name);
+  }
+  identity.cache_hits = snapshot.counter(projection.cache_hits);
+  identity.cache_misses = snapshot.counter(projection.cache_misses);
+  return identity;
 }
 
-void ProgressCounters::snapshot(Heartbeat& out) const {
-  out.jobs_total = jobs_total_.load(std::memory_order_relaxed);
-  out.jobs_done = jobs_done_.load(std::memory_order_relaxed);
-  out.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  out.cache_misses = cache_misses_.load(std::memory_order_relaxed);
-  const std::lock_guard<std::mutex> lock(current_mutex_);
-  out.scenario = current_scenario_;
-  out.cell = current_cell_;
-}
-
-HeartbeatWriter::HeartbeatWriter(std::filesystem::path path,
-                                 Index shard_index, Index shard_count,
-                                 const ProgressCounters& progress,
-                                 int interval_ms)
+PeriodicWriter::PeriodicWriter(std::filesystem::path path,
+                               double interval_ms, Render render)
     : path_(std::move(path)),
-      shard_index_(shard_index),
-      shard_count_(shard_count),
-      progress_(progress),
-      interval_ms_(interval_ms < 1 ? 1 : interval_ms) {
-  write_once(false);  // announce liveness before the first interval
+      interval_ms_(interval_ms),
+      render_(std::move(render)) {
+  NPD_CHECK_MSG(interval_ms_ > 0.0,
+                "PeriodicWriter: need a positive interval");
+  write(false);  // announce liveness before the first interval
   thread_ = std::thread([this] {
     std::unique_lock<std::mutex> lock(mutex_);
-    while (!stopping_) {
-      if (cv_.wait_for(lock, std::chrono::milliseconds(interval_ms_),
-                       [this] { return stopping_; })) {
-        break;
-      }
+    while (!cv_.wait_for(
+        lock, std::chrono::duration<double, std::milli>(interval_ms_),
+        [this] { return stopped_; })) {
       lock.unlock();
-      write_once(false);
+      write(false);
       lock.lock();
     }
   });
 }
 
-HeartbeatWriter::~HeartbeatWriter() { stop(); }
+PeriodicWriter::~PeriodicWriter() { stop(); }
 
-void HeartbeatWriter::stop() {
+void PeriodicWriter::stop() {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (stopped_) {
       return;
     }
-    stopping_ = true;
     stopped_ = true;
   }
   cv_.notify_all();
-  if (thread_.joinable()) {
-    thread_.join();
-  }
-  write_once(true);  // the terminal heartbeat
+  thread_.join();
+  write(true);  // the terminal file
 }
 
-void HeartbeatWriter::write_once(bool done) {
-  Heartbeat heartbeat;
-  heartbeat.shard_index = shard_index_;
-  heartbeat.shard_count = shard_count_;
-  heartbeat.done = done;
-  progress_.snapshot(heartbeat);
-  (void)write_heartbeat(path_, std::move(heartbeat));
+void PeriodicWriter::write(bool final) {
+  (void)write_file_atomically(path_, render_(final));
+}
+
+PeriodicWriter::Render heartbeat_render(Index shard_index, Index shard_count,
+                                        std::int64_t jobs_total,
+                                        Projection projection) {
+  Heartbeat identity;
+  identity.shard_index = shard_index;
+  identity.shard_count = shard_count;
+  identity.jobs_total = jobs_total;
+  return [identity, projection = std::move(projection)](bool final) {
+    Heartbeat beat = project(identity, projection, metrics::snapshot());
+    beat.done = final;
+    return stamped_text(beat);
+  };
 }
 
 }  // namespace npd::heartbeat

@@ -1,10 +1,15 @@
 #pragma once
 
 /// \file heartbeat.hpp
-/// Per-shard liveness files (schema `npd.heartbeat/1`) and the live
-/// progress counters behind them — the out-of-band channel a supervisor
-/// (`npd_launch --watch`) tails to see where a running shard is without
-/// touching its report.
+/// Per-shard liveness files (schema `npd.heartbeat/1`) — the out-of-band
+/// channel a supervisor (`npd_launch --watch`) tails to see where a
+/// running shard is without touching its report — and the one periodic
+/// temp+rename file writer behind them.
+///
+/// A heartbeat counts nothing itself.  It is a projection of the metrics
+/// registry (`util/metrics.hpp`, the only counter store): a `Projection`
+/// names the registry counters that feed its progress fields, and the
+/// shard identity plus `jobs_total` are fixed when the writer is built.
 ///
 /// A heartbeat file is one small JSON document, rewritten in place via
 /// the same temp + rename discipline as the result cache: a reader
@@ -21,16 +26,18 @@
 /// the telemetry TUs.  Timestamps never enter reports, cache keys or
 /// fingerprints.
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "util/json.hpp"
+#include "util/metrics.hpp"
 #include "util/types.hpp"
 
 namespace npd::heartbeat {
@@ -43,9 +50,6 @@ struct Heartbeat {
   std::int64_t jobs_total = 0;
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
-  /// Scenario/cell of the most recently started job ("" before any).
-  std::string scenario;
-  Index cell = -1;
   /// Wall-clock write time (unix seconds) — what `--watch` subtracts
   /// from `now_unix_seconds()` to show per-shard lag.
   double updated_unix = 0.0;
@@ -60,7 +64,9 @@ struct Heartbeat {
 [[nodiscard]] Json to_json(const Heartbeat& heartbeat);
 
 /// Parse one heartbeat document.  Returns nullopt on a wrong schema tag
-/// or missing fields (never throws on malformed telemetry).
+/// or missing fields (never throws on malformed telemetry).  Members
+/// this version does not write (older writers added `scenario` and
+/// `cell`) are ignored.
 [[nodiscard]] std::optional<Heartbeat> from_json(const Json& doc);
 
 /// Write `heartbeat` to `path` (stamping `updated_unix`) via a unique
@@ -74,71 +80,60 @@ bool write_heartbeat(const std::filesystem::path& path,
 [[nodiscard]] std::optional<Heartbeat> read_heartbeat(
     const std::filesystem::path& path);
 
-/// Thread-safe live progress of one shard run, updated by the worker
-/// threads (`shard::run_jobs`) and snapshotted by the heartbeat writer
-/// thread.  Counts are atomics; the current scenario/cell pair is
-/// guarded by a mutex (it is two fields that must stay consistent).
-class ProgressCounters {
- public:
-  void set_jobs_total(std::int64_t total) {
-    jobs_total_.store(total, std::memory_order_relaxed);
-  }
-  void add_done(std::int64_t n = 1) {
-    jobs_done_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void add_cache_hits(std::int64_t n = 1) {
-    cache_hits_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void add_cache_misses(std::int64_t n = 1) {
-    cache_misses_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void set_current(const std::string& scenario, Index cell);
-
-  /// Copy the live values into the progress fields of `out` (leaves the
-  /// shard identity and timestamp fields alone).
-  void snapshot(Heartbeat& out) const;
-
- private:
-  std::atomic<std::int64_t> jobs_total_{0};
-  std::atomic<std::int64_t> jobs_done_{0};
-  std::atomic<std::int64_t> cache_hits_{0};
-  std::atomic<std::int64_t> cache_misses_{0};
-  mutable std::mutex current_mutex_;
-  std::string current_scenario_;
-  Index current_cell_ = -1;
+/// Which registry counters feed a heartbeat's progress fields.  A name
+/// that has recorded nothing (or "") reads as 0.
+struct Projection {
+  std::vector<std::string> jobs_done;  ///< summed into `jobs_done`
+  std::string cache_hits;
+  std::string cache_misses;
 };
 
-/// Background writer: rewrites one heartbeat file every `interval_ms`
-/// from a `ProgressCounters` snapshot, plus a final `done = true` write
-/// on teardown (so a shard that finished always leaves a terminal
-/// heartbeat, even when it crashes right after its jobs — the writer's
-/// destructor runs on the normal-return path of `--test-crash`).
-class HeartbeatWriter {
- public:
-  HeartbeatWriter(std::filesystem::path path, Index shard_index,
-                  Index shard_count, const ProgressCounters& progress,
-                  int interval_ms = 200);
-  ~HeartbeatWriter();
-  HeartbeatWriter(const HeartbeatWriter&) = delete;
-  HeartbeatWriter& operator=(const HeartbeatWriter&) = delete;
+/// `identity` (shard fields and `jobs_total` kept) with its progress
+/// fields read from `snapshot` through `projection`.
+[[nodiscard]] Heartbeat project(Heartbeat identity,
+                                const Projection& projection,
+                                const metrics::MetricsSnapshot& snapshot);
 
-  /// Stop the writer thread and write the final heartbeat.  Idempotent;
-  /// the destructor calls it.
+/// The one periodic file writer: renders `path`'s contents and rewrites
+/// it (temp + rename, `write_file_atomically`) once at construction,
+/// every `interval_ms` on a background thread, and a last time with
+/// `final` set on `stop()` — so a shard that finished always leaves a
+/// terminal file, even when it crashes right after its jobs (the
+/// destructor runs on the normal-return path of `--test-crash`).
+/// Purely observational; write failures are ignored.
+class PeriodicWriter {
+ public:
+  using Render = std::function<std::string(bool final)>;
+
+  /// `interval_ms` must be positive.
+  PeriodicWriter(std::filesystem::path path, double interval_ms,
+                 Render render);
+  ~PeriodicWriter();
+  PeriodicWriter(const PeriodicWriter&) = delete;
+  PeriodicWriter& operator=(const PeriodicWriter&) = delete;
+
+  /// Stop the writer thread and write the final file.  Idempotent; the
+  /// destructor calls it.
   void stop();
 
  private:
-  void write_once(bool done);
+  void write(bool final);
 
   std::filesystem::path path_;
-  Index shard_index_;
-  Index shard_count_;
-  const ProgressCounters& progress_;
-  int interval_ms_;
+  double interval_ms_;
+  Render render_;
   std::mutex mutex_;
   std::condition_variable cv_;
-  bool stopping_ = false;
   bool stopped_ = false;
   std::thread thread_;
 };
+
+/// Heartbeat contents for a `PeriodicWriter`: each write projects a
+/// fresh `metrics::snapshot()` onto the shard identity and the fixed
+/// `jobs_total`; the final one is `done`.
+[[nodiscard]] PeriodicWriter::Render heartbeat_render(Index shard_index,
+                                                      Index shard_count,
+                                                      std::int64_t jobs_total,
+                                                      Projection projection);
 
 }  // namespace npd::heartbeat

@@ -10,8 +10,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/trace.hpp"
-
 namespace npd::metrics {
 
 namespace {
@@ -135,9 +133,6 @@ void set_enabled(bool on) {
 }
 
 void counter(std::string_view name, std::int64_t delta) {
-  if (trace::enabled()) {
-    trace::counter(name, delta);  // keep the Chrome-trace counter tracks
-  }
   if (!enabled()) {
     return;
   }
@@ -246,6 +241,15 @@ MetricsSnapshot snapshot() {
     snap.captured_unix = wall_unix_seconds();
   }
   return snap;
+}
+
+std::int64_t MetricsSnapshot::counter(std::string_view name) const {
+  for (const CounterValue& value : counters) {
+    if (value.name == name) {
+      return value.value;
+    }
+  }
+  return 0;
 }
 
 Json snapshot_json(const MetricsSnapshot& snapshot) {

@@ -1,15 +1,18 @@
 #pragma once
 
 /// \file metrics.hpp
-/// The unified metrics registry — typed Counters / Gauges / Histograms
-/// behind one process-wide namespace of metric names, snapshotted as an
-/// `npd.metrics/1` JSON document.
+/// The metrics registry — the process's one store of counters, gauges
+/// and histograms, behind one namespace of metric names, snapshotted as
+/// an `npd.metrics/1` JSON document.
 ///
-/// This is the queryable half of the telemetry layer: where `trace`
-/// records *events* (drained once, after the workers join), metrics
-/// record *state* that may be read at any time — the serving daemon's
-/// live `stats` op snapshots the registry while solve batches are in
-/// flight.  The design constraints mirror trace's, plus liveness:
+/// Everything a tool counts is counted here, once.  The other telemetry
+/// outputs are views of it: `--metrics` files and the serving daemon's
+/// live `stats` op serialize a snapshot, heartbeat files
+/// (`util/heartbeat.hpp`) project one onto a shard's progress fields,
+/// and the tools' end-of-run lines read counters from one.  `trace`
+/// records spans only.  Snapshots may be taken at any time — the
+/// daemon's `stats` op and the heartbeat thread read the registry while
+/// workers record into it.  The design constraints:
 ///
 ///   * **Out-of-band**: nothing recorded here may feed a report, a
 ///     cache key or a fingerprint.  Byte-identity of reports with and
@@ -17,7 +20,8 @@
 ///     and CI.
 ///   * **Off by default, near-zero when off**: every entry point first
 ///     checks one relaxed atomic (the serving daemon turns the registry
-///     on unconditionally; `npd_run` only under `--metrics`).
+///     on unconditionally; `npd_run` only under `--metrics` or
+///     `--heartbeat`, `npd_loadgen` only under `--heartbeat`).
 ///   * **Lock-free thread-local shards**: each metric owns one atomic
 ///     cell per touching thread.  A thread resolves `name → cell`
 ///     through a thread-local cache (registry mutex on first touch per
@@ -41,10 +45,6 @@
 /// The single wall-clock read — the `captured_unix` stamp that ties a
 /// snapshot file to a point in real time — lives in metrics.cpp, one of
 /// the telemetry TUs allowlisted by `npd_lint`'s no-wall-clock ban.
-///
-/// `counter()` additionally forwards to `trace::counter()` whenever
-/// tracing is on, so instrumented code calls exactly one API and the
-/// Chrome-trace counter tracks keep working unchanged.
 
 #include <cstdint>
 #include <string>
@@ -64,10 +64,8 @@ namespace npd::metrics {
 /// it once at startup.
 void set_enabled(bool on);
 
-/// Add `delta` to the named counter (monotonic, integer).  Forwards to
-/// `trace::counter()` when tracing is enabled, so migrated call sites
-/// keep their Chrome-trace counter tracks.  No-op when both the
-/// registry and tracing are disabled.
+/// Add `delta` to the named counter (monotonic, integer).  No-op while
+/// the registry is disabled.
 void counter(std::string_view name, std::int64_t delta = 1);
 
 /// Set the named gauge to `value` (last-write-wins per thread; the
@@ -114,6 +112,9 @@ struct MetricsSnapshot {
   /// never enabled.  The one nondeterministic field — tests zero it
   /// before comparing documents.
   double captured_unix = 0.0;
+
+  /// The named counter's value; 0 when it has recorded nothing.
+  [[nodiscard]] std::int64_t counter(std::string_view name) const;
 };
 
 /// Capture the current state.  Safe to call while instrumented threads

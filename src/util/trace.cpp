@@ -2,10 +2,8 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -22,7 +20,6 @@ struct ThreadBuffer {
   int tid = 0;
   int open_depth = 0;
   std::vector<SpanEvent> spans;  // completion order
-  std::map<std::string, std::int64_t, std::less<>> counters;
 };
 
 struct Registry {
@@ -117,22 +114,8 @@ Span::~Span() {
   buffer.spans.push_back(std::move(event));
 }
 
-void counter(std::string_view name, std::int64_t delta) {
-  if (!enabled()) {
-    return;
-  }
-  auto& counters = local_buffer().counters;
-  const auto it = counters.find(name);
-  if (it == counters.end()) {
-    counters.emplace(std::string(name), delta);
-  } else {
-    it->second += delta;
-  }
-}
-
 TraceSnapshot flush() {
   TraceSnapshot snapshot;
-  std::map<std::string, std::int64_t> totals;
   Registry& reg = registry();
   {
     const std::lock_guard<std::mutex> lock(reg.mutex);
@@ -141,15 +124,7 @@ TraceSnapshot flush() {
         snapshot.spans.push_back(std::move(event));
       }
       buffer->spans.clear();
-      for (const auto& [name, value] : buffer->counters) {
-        totals[name] += value;
-      }
-      buffer->counters.clear();
     }
-  }
-  snapshot.counters.reserve(totals.size());
-  for (const auto& [name, value] : totals) {
-    snapshot.counters.push_back(CounterTotal{name, value});
   }
   if (g_epoch_ns.load(std::memory_order_relaxed) != 0) {
     snapshot.flushed_unix = wall_unix_seconds();
@@ -165,9 +140,7 @@ Json chrome_trace_json(const TraceSnapshot& snapshot) {
       .set("flushed_unix", snapshot.flushed_unix);
 
   Json events = Json::array();
-  std::int64_t last_ts = 0;
   for (const SpanEvent& span : snapshot.spans) {
-    last_ts = std::max(last_ts, span.start_us + span.duration_us);
     Json event = Json::object();
     event.set("name", span.name)
         .set("cat", "npd")
@@ -181,21 +154,6 @@ Json chrome_trace_json(const TraceSnapshot& snapshot) {
     if (!span.detail.empty()) {
       args.set("detail", span.detail);
     }
-    event.set("args", std::move(args));
-    events.push_back(std::move(event));
-  }
-  // One closing sample per counter: enough for Perfetto to draw a
-  // counter track, and the totals stay greppable in the raw JSON.
-  for (const CounterTotal& total : snapshot.counters) {
-    Json event = Json::object();
-    event.set("name", total.name)
-        .set("cat", "npd")
-        .set("ph", "C")
-        .set("ts", last_ts)
-        .set("pid", pid)
-        .set("tid", 0);
-    Json args = Json::object();
-    args.set("value", total.value);
     event.set("args", std::move(args));
     events.push_back(std::move(event));
   }

@@ -1,21 +1,21 @@
 #pragma once
 
 /// \file trace.hpp
-/// Process-wide telemetry spans and counters — the out-of-band "where
-/// does the time go" layer underneath `--trace`.
+/// Process-wide telemetry spans — the out-of-band "where does the time
+/// go" layer underneath `--trace`.  Spans only: every counter, gauge and
+/// histogram lives in the one metrics registry (`util/metrics.hpp`).
 ///
 /// Design constraints (all load-bearing for the repo's determinism
 /// story):
 ///   * **Out-of-band**: nothing recorded here may feed a report, a
-///     cache key or a fingerprint.  Spans and counters only ever leave
+///     cache key or a fingerprint.  Spans only ever leave
 ///     the process through `flush()` → `chrome_trace_json()`, a side
 ///     channel the byte-identity tests never see.
 ///   * **Off by default, near-zero when off**: every entry point first
 ///     checks one relaxed atomic; a disabled tracer does no allocation,
 ///     takes no lock, reads no clock.
 ///   * **Lock-free-enough when on**: each thread appends completed
-///     spans and counter deltas to its own thread-local buffer — no
-///     lock on the hot path.  The registry of buffers is mutex-guarded
+///     spans to its own thread-local buffer — no lock on the hot path.  The registry of buffers is mutex-guarded
 ///     only at thread registration and at `flush()`.
 ///   * **Flush happens after the workers are gone**: `flush()` may only
 ///     be called when no instrumented thread is running (the engine's
@@ -64,18 +64,10 @@ struct SpanEvent {
                                  ///< thread when it began
 };
 
-/// One named counter's process-wide total at flush time.
-struct CounterTotal {
-  std::string name;
-  std::int64_t value = 0;
-};
-
 /// Everything `flush()` drained: spans in per-thread completion order
-/// (threads in tid order), counters summed across threads and sorted by
-/// name.
+/// (threads in tid order).
 struct TraceSnapshot {
   std::vector<SpanEvent> spans;
-  std::vector<CounterTotal> counters;
   /// Wall-clock time of the flush (unix seconds) — the one field that
   /// ties a trace file to a point in real time.  0 when tracing was
   /// never enabled.
@@ -102,10 +94,6 @@ class Span {
   std::string detail_;
 };
 
-/// Add `delta` to the named counter on the current thread's buffer.
-/// No-op while tracing is disabled.
-void counter(std::string_view name, std::int64_t delta = 1);
-
 /// Drain every thread's buffer into one snapshot and clear them.  May
 /// only be called when no instrumented thread is running (see the file
 /// comment); typically once, at tool exit, before writing the trace
@@ -114,8 +102,7 @@ void counter(std::string_view name, std::int64_t delta = 1);
 
 /// Serialize a snapshot as a Chrome-trace-viewer document (schema
 /// `npd.trace/1`): spans become `"ph": "X"` complete events (ts/dur in
-/// microseconds), counters become one final `"ph": "C"` sample each so
-/// Perfetto renders a counter track.
+/// microseconds).
 [[nodiscard]] Json chrome_trace_json(const TraceSnapshot& snapshot);
 
 }  // namespace npd::trace

@@ -32,6 +32,7 @@
 #include "serve/service.hpp"
 #include "serve/stats.hpp"
 #include "util/json.hpp"
+#include "util/metrics.hpp"
 #include "util/socket.hpp"
 
 namespace npd::serve {
@@ -206,6 +207,23 @@ TEST(DesignCacheTest, ConfigHashIsStableAndConfigSensitive) {
 
 // -------------------------------------------------- service bit-identity
 
+/// The service and server count into the process-global metrics
+/// registry; each test records into a fresh, enabled registry and
+/// leaves it off, so suites can run in any order.
+class MetricsRegistryTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    metrics::set_enabled(true);
+    metrics::reset();
+  }
+  void TearDown() override {
+    metrics::set_enabled(false);
+    metrics::reset();
+  }
+};
+using ServiceTest = MetricsRegistryTest;
+using ServerStatsTest = MetricsRegistryTest;
+
 Request solve_request(const std::string& id, std::uint64_t seed,
                       const std::string& params = "n_lo=60;n_hi=60",
                       Index reps = 1) {
@@ -233,7 +251,7 @@ std::string offline_bytes(std::uint64_t seed, Index reps,
       .dump(2);
 }
 
-TEST(ServiceTest, ResponseReportMatchesOfflineRunBatch) {
+TEST_F(ServiceTest, ResponseReportMatchesOfflineRunBatch) {
   Service service(test_registry(), {42, 1, 64});
   const Json response = service.execute_one(solve_request("r1", 7));
   EXPECT_EQ(response.at("status").as_string(), "ok");
@@ -245,7 +263,7 @@ TEST(ServiceTest, ResponseReportMatchesOfflineRunBatch) {
                            {"solver_sweep", "n_hi", "60"}}));
 }
 
-TEST(ServiceTest, DerivedSeedIsUsedAndEchoed) {
+TEST_F(ServiceTest, DerivedSeedIsUsedAndEchoed) {
   Service service(test_registry(), {42, 1, 64});
   Request request = solve_request("req-derive", 0);
   request.seed.reset();
@@ -255,7 +273,7 @@ TEST(ServiceTest, DerivedSeedIsUsedAndEchoed) {
             expected);
 }
 
-TEST(ServiceTest, BatchedEqualsUnbatchedAcrossThreadCounts) {
+TEST_F(ServiceTest, BatchedEqualsUnbatchedAcrossThreadCounts) {
   // One micro-batch of three requests on 4 threads vs each request
   // alone on 1 thread: every response's deterministic core must be
   // byte-identical (the engine's seed derivation does not care who
@@ -267,6 +285,8 @@ TEST(ServiceTest, BatchedEqualsUnbatchedAcrossThreadCounts) {
       solve_request("b", 7, "n_lo=60;n_hi=120", 2),
       solve_request("c", 8)};
   const std::vector<Json> together = batched.execute(requests);
+  // Counted around the batched execute only; `solo` records later.
+  const metrics::MetricsSnapshot counted = metrics::snapshot();
   ASSERT_EQ(together.size(), requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const Json alone = solo.execute_one(requests[i]);
@@ -277,11 +297,11 @@ TEST(ServiceTest, BatchedEqualsUnbatchedAcrossThreadCounts) {
               alone.at("config_hash").as_string());
   }
   // The batch really was one batch.
-  EXPECT_EQ(batched.counters().batches.load(), 1);
-  EXPECT_EQ(batched.counters().requests.load(), 3);
+  EXPECT_EQ(counted.counter("serve.batches"), 1);
+  EXPECT_EQ(counted.counter("serve.requests"), 3);
 }
 
-TEST(ServiceTest, BadRequestFailsAloneInsideABatch) {
+TEST_F(ServiceTest, BadRequestFailsAloneInsideABatch) {
   Service service(test_registry(), {42, 2, 64});
   std::vector<Request> requests = {solve_request("good-1", 7),
                                    solve_request("poisoned", 7),
@@ -296,28 +316,28 @@ TEST(ServiceTest, BadRequestFailsAloneInsideABatch) {
   EXPECT_EQ(responses[2].at("status").as_string(), "ok");
   EXPECT_EQ(responses[0].at("report").dump(2),
             responses[2].at("report").dump(2));
-  EXPECT_EQ(service.counters().errors.load(), 1);
 }
 
-TEST(ServiceTest, ControlOpsSkipTheEngine) {
+TEST_F(ServiceTest, ControlOpsSkipTheEngine) {
   Service service(test_registry(), {42, 1, 64});
   Request ping;
   ping.id = "p";
   ping.op = Op::Ping;
   const Json ack = service.execute_one(ping);
   EXPECT_EQ(ack.at("status").as_string(), "ok");
-  EXPECT_EQ(service.counters().jobs.load(), 0);
-  EXPECT_EQ(service.counters().requests.load(), 0);
+  const metrics::MetricsSnapshot counted = metrics::snapshot();
+  EXPECT_EQ(counted.counter("serve.jobs"), 0);
+  EXPECT_EQ(counted.counter("serve.requests"), 0);
 }
 
-TEST(ServiceTest, RepeatedConfigHitsTheDesignCache) {
+TEST_F(ServiceTest, RepeatedConfigHitsTheDesignCache) {
   Service service(test_registry(), {42, 1, 64});
   (void)service.execute_one(solve_request("a", 1));
   (void)service.execute_one(solve_request("b", 2));
-  EXPECT_EQ(service.counters().design_cache_misses.load(), 1);
-  EXPECT_EQ(service.counters().design_cache_hits.load(), 1);
+  EXPECT_EQ(metrics::snapshot().counter("serve.design_cache.miss"), 1);
+  EXPECT_EQ(metrics::snapshot().counter("serve.design_cache.hit"), 1);
   (void)service.execute_one(solve_request("c", 3, "n_lo=60;n_hi=120"));
-  EXPECT_EQ(service.counters().design_cache_misses.load(), 2);
+  EXPECT_EQ(metrics::snapshot().counter("serve.design_cache.miss"), 2);
 }
 
 // ---------------------------------------------------------------- framing
@@ -474,6 +494,49 @@ TEST(ServerMalformedInputTest, AnswersUnknownOpWithErrorEchoingTheId) {
   ASSERT_TRUE(ack.has_value());
   EXPECT_EQ(ack->at("status").as_string(), "ok");
   expect_still_serving(harness.path, "after-unknown-op");
+}
+
+// ------------------------------------------------------ live serve stats
+
+TEST_F(ServerStatsTest, QueueDepthGaugeDrainsWithTheQueue) {
+  ServerHarness harness;
+  // Pipelined bursts on several connections keep the queue non-empty
+  // while the single-request batches execute.
+  constexpr int kConnections = 3;
+  constexpr int kPerConnection = 4;
+  std::vector<net::Fd> clients;
+  for (int c = 0; c < kConnections; ++c) {
+    clients.push_back(net::connect_unix(harness.path));
+    for (int k = 0; k < kPerConnection; ++k) {
+      Json doc = solve_request_doc("burst-" + std::to_string(c) + "-" +
+                                   std::to_string(k));
+      doc.set("reps", std::int64_t{1});
+      ASSERT_TRUE(net::write_frame(clients.back(), doc.dump()));
+    }
+  }
+  for (const net::Fd& client : clients) {
+    for (int k = 0; k < kPerConnection; ++k) {
+      const std::optional<std::string> reply = net::read_frame(client);
+      ASSERT_TRUE(reply.has_value());
+      EXPECT_EQ(Json::parse(*reply).at("status").as_string(), "ok");
+    }
+  }
+
+  // Drained: the gauge must read the live depth, not a reader's stale
+  // push-time level.
+  Json probe = Json::object();
+  probe.set("schema", std::string(kRequestSchema))
+      .set("id", "stats-1")
+      .set("op", "stats");
+  const net::Fd client = net::connect_unix(harness.path);
+  const std::optional<Json> stats = round_trip(client, probe.dump());
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->at("stats").at("queue_depth").as_int(), 0);
+  const Json& gauges = stats->at("stats").at("metrics").at("gauges");
+  ASSERT_NE(gauges.find("serve.queue.depth"), nullptr);
+  EXPECT_EQ(gauges.at("serve.queue.depth").as_int(), 0);
+  EXPECT_EQ(metrics::snapshot().counter("serve.requests"),
+            kConnections * kPerConnection);
 }
 
 // ------------------------------------------------------------- load stats

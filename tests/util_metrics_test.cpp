@@ -1,6 +1,6 @@
 // Unit tests for the metrics registry (src/util/metrics) and the
 // sampling profiler (src/util/profiler): thread-count-invariant
-// snapshots, deterministic cross-document merges, trace forwarding,
+// snapshots, deterministic cross-document merges, counter lookup,
 // and the profiler's process-lifecycle contract (fork/exec children,
 // SIGKILL mid-sampling).
 
@@ -21,7 +21,6 @@
 #include "util/parallel.hpp"
 #include "util/profiler.hpp"
 #include "util/timer.hpp"
-#include "util/trace.hpp"
 
 namespace npd {
 namespace {
@@ -35,14 +34,10 @@ class MetricsTest : public ::testing::Test {
   void SetUp() override {
     metrics::set_enabled(false);
     metrics::reset();
-    trace::set_enabled(false);
-    (void)trace::flush();
   }
   void TearDown() override {
     metrics::set_enabled(false);
     metrics::reset();
-    trace::set_enabled(false);
-    (void)trace::flush();
   }
 };
 
@@ -108,6 +103,8 @@ TEST_F(MetricsTest, CountersSumAndComeBackNameSorted) {
   EXPECT_EQ(snap.counters[0].value, 1);
   EXPECT_EQ(snap.counters[1].name, "zebra");
   EXPECT_EQ(snap.counters[1].value, 6);
+  EXPECT_EQ(snap.counter("zebra"), 6);
+  EXPECT_EQ(snap.counter("absent"), 0);
 }
 
 TEST_F(MetricsTest, GaugeTakesMaximumAcrossThreadCells) {
@@ -179,16 +176,6 @@ TEST_F(MetricsTest, MergedShardDocsEqualOneProcessRecordingEverything) {
   Json merged = metrics::merge_snapshot_docs({doc_a, doc_b});
   merged.set("captured_unix", 0.0);
   EXPECT_EQ(merged.dump(2), combined);
-}
-
-TEST_F(MetricsTest, CounterForwardsToTraceWhenTracingIsOn) {
-  trace::set_enabled(true);
-  metrics::counter("forwarded", 4);  // metrics off: trace still records
-  const trace::TraceSnapshot traced = trace::flush();
-  ASSERT_EQ(traced.counters.size(), 1u);
-  EXPECT_EQ(traced.counters[0].name, "forwarded");
-  EXPECT_EQ(traced.counters[0].value, 4);
-  EXPECT_TRUE(metrics::snapshot().counters.empty());
 }
 
 TEST_F(MetricsTest, ResetIsSnapshotEquivalentToFreshRegistry) {

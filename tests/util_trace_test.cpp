@@ -1,7 +1,7 @@
 // Unit tests for the telemetry layer (src/util/trace, src/util/heartbeat):
-// span nesting and flush ordering, counter aggregation across threads,
-// heartbeat round-trips, temp+rename atomicity under a killed writer,
-// and the live ProgressCounters / HeartbeatWriter feed.
+// span nesting and flush ordering, heartbeat round-trips, temp+rename
+// atomicity under a killed writer, and the periodic writer's heartbeat
+// as a projection of the live metrics registry.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "util/heartbeat.hpp"
+#include "util/metrics.hpp"
 #include "util/parallel.hpp"
 #include "util/trace.hpp"
 
@@ -37,11 +38,9 @@ class TraceTest : public ::testing::Test {
 TEST_F(TraceTest, DisabledRecordsNothing) {
   {
     const trace::Span span("ignored");
-    trace::counter("ignored", 5);
   }
   const trace::TraceSnapshot snapshot = trace::flush();
   EXPECT_TRUE(snapshot.spans.empty());
-  EXPECT_TRUE(snapshot.counters.empty());
   EXPECT_EQ(snapshot.flushed_unix, 0.0);
 }
 
@@ -76,24 +75,6 @@ TEST_F(TraceTest, FlushDrainsAndSecondFlushIsEmpty) {
   EXPECT_TRUE(trace::flush().spans.empty());
 }
 
-TEST_F(TraceTest, CountersAggregateAcrossThreads) {
-  trace::set_enabled(true);
-  constexpr Index kCount = 64;
-  parallel_for(kCount, 4, [](Index i) {
-    trace::counter("iterations");
-    if (i % 2 == 0) {
-      trace::counter("evens", 2);
-    }
-  });
-  const trace::TraceSnapshot snapshot = trace::flush();
-  ASSERT_EQ(snapshot.counters.size(), 2u);
-  // Counters come back sorted by name with per-thread deltas summed.
-  EXPECT_EQ(snapshot.counters[0].name, "evens");
-  EXPECT_EQ(snapshot.counters[0].value, kCount);  // 32 hits * delta 2
-  EXPECT_EQ(snapshot.counters[1].name, "iterations");
-  EXPECT_EQ(snapshot.counters[1].value, kCount);
-}
-
 TEST_F(TraceTest, SpansFromWorkerThreadsCarryDistinctTids) {
   trace::set_enabled(true);
   parallel_for(8, 2, [](Index) { const trace::Span span("work"); },
@@ -108,23 +89,16 @@ TEST_F(TraceTest, SpansFromWorkerThreadsCarryDistinctTids) {
 
 TEST_F(TraceTest, ChromeTraceJsonShapeAndRoundTrip) {
   trace::set_enabled(true);
-  {
-    const trace::Span span("phase", "k=1");
-    trace::counter("widgets", 3);
-  }
+  { const trace::Span span("phase", "k=1"); }
   const Json doc = trace::chrome_trace_json(trace::flush());
   EXPECT_EQ(doc.at("schema").as_string(), "npd.trace/1");
   EXPECT_EQ(doc.at("displayTimeUnit").as_string(), "ms");
   const Json& events = doc.at("traceEvents");
-  ASSERT_EQ(events.size(), 2u);  // one complete event + one counter sample
+  ASSERT_EQ(events.size(), 1u);  // spans only: one complete event
   const Json& span_event = events.at(0);
   EXPECT_EQ(span_event.at("ph").as_string(), "X");
   EXPECT_EQ(span_event.at("name").as_string(), "phase");
   EXPECT_EQ(span_event.at("args").at("detail").as_string(), "k=1");
-  const Json& counter_event = events.at(1);
-  EXPECT_EQ(counter_event.at("ph").as_string(), "C");
-  EXPECT_EQ(counter_event.at("name").as_string(), "widgets");
-  EXPECT_EQ(counter_event.at("args").at("value").as_int(), 3);
   // The document survives a parse round-trip (what `python3 -m
   // json.tool` checks in CI, minus the subprocess).
   EXPECT_EQ(Json::parse(doc.dump(2)).dump(2), doc.dump(2));
@@ -132,9 +106,13 @@ TEST_F(TraceTest, ChromeTraceJsonShapeAndRoundTrip) {
 
 // ------------------------------------------------------------- heartbeat
 
+/// The writer projects the process-global metrics registry, so each
+/// test records into a fresh, enabled registry and leaves it off.
 class HeartbeatTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    metrics::set_enabled(true);
+    metrics::reset();
     dir_ = fs::temp_directory_path() /
            ("npd_heartbeat_test_" +
             std::to_string(::testing::UnitTest::GetInstance()->random_seed()) +
@@ -144,7 +122,11 @@ class HeartbeatTest : public ::testing::Test {
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }
-  void TearDown() override { fs::remove_all(dir_); }
+  void TearDown() override {
+    metrics::set_enabled(false);
+    metrics::reset();
+    fs::remove_all(dir_);
+  }
 
   fs::path dir_;
 };
@@ -157,8 +139,6 @@ heartbeat::Heartbeat sample_heartbeat() {
   beat.jobs_total = 9;
   beat.cache_hits = 2;
   beat.cache_misses = 7;
-  beat.scenario = "fig5";
-  beat.cell = 6;
   beat.done = false;
   return beat;
 }
@@ -175,8 +155,6 @@ TEST_F(HeartbeatTest, WriteReadRoundTrip) {
   EXPECT_EQ(read->jobs_total, 9);
   EXPECT_EQ(read->cache_hits, 2);
   EXPECT_EQ(read->cache_misses, 7);
-  EXPECT_EQ(read->scenario, "fig5");
-  EXPECT_EQ(read->cell, 6);
   EXPECT_FALSE(read->done);
   // write_heartbeat stamps the write time; a reader computing lag
   // against now_unix_seconds() must see a recent, positive stamp.
@@ -208,39 +186,21 @@ TEST_F(HeartbeatTest, KilledWriterLeavesPreviousBeatReadable) {
       heartbeat::read_heartbeat(path);
   ASSERT_TRUE(read.has_value());
   EXPECT_EQ(read->jobs_done, 4);
-  EXPECT_EQ(read->scenario, "fig5");
+  EXPECT_EQ(read->cache_hits, 2);
 }
 
-TEST_F(HeartbeatTest, ProgressCountersSnapshot) {
-  heartbeat::ProgressCounters progress;
-  progress.set_jobs_total(10);
-  parallel_for(6, 3, [&](Index i) {
-    progress.set_current("scen", i);
-    progress.add_done();
-    if (i < 2) {
-      progress.add_cache_hits();
-    } else {
-      progress.add_cache_misses();
-    }
-  });
-  heartbeat::Heartbeat beat;
-  progress.snapshot(beat);
-  EXPECT_EQ(beat.jobs_total, 10);
-  EXPECT_EQ(beat.jobs_done, 6);
-  EXPECT_EQ(beat.cache_hits, 2);
-  EXPECT_EQ(beat.cache_misses, 4);
-  EXPECT_EQ(beat.scenario, "scen");
-  EXPECT_GE(beat.cell, 0);
-  EXPECT_LT(beat.cell, 6);
+/// The projection the writer tests use: two counters summed into
+/// `jobs_done`, one counter per cache field.
+heartbeat::Projection test_projection() {
+  return {{"jobs.executed", "jobs.replayed"}, "cache.hits", "cache.misses"};
 }
 
 TEST_F(HeartbeatTest, WriterWritesImmediatelyAndFinishesDone) {
   const fs::path path = dir_ / "live.json";
-  heartbeat::ProgressCounters progress;
-  progress.set_jobs_total(3);
   {
-    heartbeat::HeartbeatWriter writer(path, 2, 5, progress,
-                                      /*interval_ms=*/10);
+    heartbeat::PeriodicWriter writer(
+        path, /*interval_ms=*/10.0,
+        heartbeat::heartbeat_render(2, 5, 3, test_projection()));
     // The constructor writes the first beat synchronously — the file
     // exists before any interval elapses.
     const std::optional<heartbeat::Heartbeat> first =
@@ -248,8 +208,9 @@ TEST_F(HeartbeatTest, WriterWritesImmediatelyAndFinishesDone) {
     ASSERT_TRUE(first.has_value());
     EXPECT_EQ(first->shard_index, 2);
     EXPECT_EQ(first->shard_count, 5);
+    EXPECT_EQ(first->jobs_done, 0);
     EXPECT_FALSE(first->done);
-    progress.add_done(3);
+    metrics::counter("jobs.executed", 3);
     writer.stop();
     writer.stop();  // idempotent
   }
@@ -261,6 +222,50 @@ TEST_F(HeartbeatTest, WriterWritesImmediatelyAndFinishesDone) {
   EXPECT_EQ(last->jobs_total, 3);
 }
 
+TEST_F(HeartbeatTest, WriterProjectsTheRegistryWorkersRecordInto) {
+  const fs::path path = dir_ / "projected.json";
+  heartbeat::Heartbeat identity;
+  identity.shard_index = 1;
+  identity.shard_count = 4;
+  identity.jobs_total = 96;
+  heartbeat::PeriodicWriter writer(
+      path, /*interval_ms=*/1.0,
+      heartbeat::heartbeat_render(identity.shard_index, identity.shard_count,
+                                  identity.jobs_total, test_projection()));
+  // Workers record while the writer thread snapshots the registry.
+  parallel_for(96, 4, [&path](Index i) {
+    if (i % 3 == 0) {
+      metrics::counter("cache.hits");
+      metrics::counter("jobs.replayed");
+    } else {
+      metrics::counter("cache.misses");
+      metrics::counter("jobs.executed");
+    }
+    metrics::counter("unrelated.counter", 5);
+    const std::optional<heartbeat::Heartbeat> live =
+        heartbeat::read_heartbeat(path);
+    ASSERT_TRUE(live.has_value());
+    EXPECT_LE(live->jobs_done, 96);
+  }, /*grain=*/1);
+  writer.stop();
+
+  const std::optional<heartbeat::Heartbeat> last =
+      heartbeat::read_heartbeat(path);
+  ASSERT_TRUE(last.has_value());
+  heartbeat::Heartbeat expected =
+      heartbeat::project(identity, test_projection(), metrics::snapshot());
+  expected.done = true;
+  expected.updated_unix = last->updated_unix;
+  EXPECT_EQ(heartbeat::to_json(*last).dump(),
+            heartbeat::to_json(expected).dump());
+  EXPECT_EQ(last->jobs_done, 96);
+  EXPECT_EQ(last->cache_hits, 32);
+  EXPECT_EQ(last->cache_misses, 64);
+  EXPECT_EQ(last->shard_index, 1);
+  EXPECT_EQ(last->shard_count, 4);
+  EXPECT_EQ(last->jobs_total, 96);
+}
+
 TEST_F(HeartbeatTest, JsonCarriesSchemaTag) {
   const Json doc = heartbeat::to_json(sample_heartbeat());
   EXPECT_EQ(doc.at("schema").as_string(), "npd.heartbeat/1");
@@ -268,6 +273,15 @@ TEST_F(HeartbeatTest, JsonCarriesSchemaTag) {
       heartbeat::from_json(doc);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->jobs_total, 9);
+  EXPECT_EQ(doc.find("scenario"), nullptr);
+  EXPECT_EQ(doc.find("cell"), nullptr);
+  // Documents from writers that still carried the current job parse.
+  Json legacy = doc;
+  legacy.set("scenario", "fig5").set("cell", std::int64_t{6});
+  const std::optional<heartbeat::Heartbeat> old =
+      heartbeat::from_json(legacy);
+  ASSERT_TRUE(old.has_value());
+  EXPECT_EQ(old->jobs_done, 4);
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 #      require the report bytes to be identical — observability must
 #      never leak into results,
 #   3. validate the metrics snapshot (schema npd.metrics/1, the
-#      jobs.executed counter equal to the batch's job count) and the
-#      profile (schema npd.profile/1, samples captured, at least one
-#      folded stack symbolized down to an npd:: engine frame),
+#      jobs.executed counter equal to the batch's job count), the final
+#      heartbeat as its projection (jobs_done == jobs_total ==
+#      jobs.executed), and the profile (schema npd.profile/1, samples
+#      captured, at least one folded stack symbolized down to an npd::
+#      engine frame),
 #   4. npd_launch the batch over 3 shards with --metrics: merged report
 #      bytes identical again, the shard snapshots folded into one
 #      deterministic merge with the full job count, and the merged
@@ -99,8 +101,23 @@ if(NOT LAST_OUTPUT MATCHES "\\[profile written to .* \\(([0-9]+) samples\\)\\]")
   message(FATAL_ERROR "no profile confirmation line:\n${LAST_OUTPUT}")
 endif()
 
-# 3a. The metrics snapshot counted every job exactly once.
+# 3a. The metrics snapshot counted every job exactly once, and the final
+#     heartbeat is its projection: jobs_done == jobs_total ==
+#     jobs.executed (nothing was replayed from a cache).
 check_metrics_snapshot("${WORK_DIR}/metrics.json" "single-process metrics")
+json_field(beat_done "${WORK_DIR}/heartbeat.json" done)
+json_field(beat_jobs_done "${WORK_DIR}/heartbeat.json" jobs_done)
+json_field(beat_jobs_total "${WORK_DIR}/heartbeat.json" jobs_total)
+json_field(snapshot_executed "${WORK_DIR}/metrics.json" counters jobs.executed)
+if(NOT beat_done STREQUAL "ON" OR
+   NOT beat_jobs_done EQUAL snapshot_executed OR
+   NOT beat_jobs_total EQUAL snapshot_executed)
+  message(FATAL_ERROR "final heartbeat done=${beat_done} "
+    "jobs_done=${beat_jobs_done} jobs_total=${beat_jobs_total}, expected "
+    "done and both equal to the snapshot's jobs.executed=${snapshot_executed}")
+endif()
+message(STATUS "heartbeat: final projection jobs_done=jobs_total="
+  "jobs.executed=${snapshot_executed}")
 
 # 3b. The profile captured real samples and symbolized the engine.
 json_field(profile_schema "${WORK_DIR}/profile.json" schema)

@@ -39,6 +39,7 @@
 #include "tool_common.hpp"
 #include "util/cli.hpp"
 #include "util/heartbeat.hpp"
+#include "util/metrics.hpp"
 #include "util/parse.hpp"
 #include "util/socket.hpp"
 #include "util/timer.hpp"
@@ -46,6 +47,9 @@
 namespace {
 
 using namespace npd;
+
+/// The registry counter behind `--heartbeat`: one per response received.
+constexpr const char* kResponsesCounter = "loadgen.responses";
 
 /// One entry of the request mix.
 struct MixEntry {
@@ -186,7 +190,6 @@ struct LoadConfig {
   long long fixed_seed = -1;
   std::string id_prefix = "req";
   std::uint64_t mix_seed = 1;
-  heartbeat::ProgressCounters* progress = nullptr;
 };
 
 /// Per-worker tallies, merged after the join.
@@ -230,9 +233,7 @@ void closed_worker(const LoadConfig& config, const Timer& clock,
     } else {
       ++result.errors;
     }
-    if (config.progress != nullptr) {
-      config.progress->add_done(1);
-    }
+    metrics::counter(kResponsesCounter);
   }
 }
 
@@ -288,9 +289,7 @@ void open_worker(const LoadConfig& config, Index worker, const Timer& clock,
       } else {
         ++result.errors;
       }
-      if (config.progress != nullptr) {
-        config.progress->add_done(1);
-      }
+      metrics::counter(kResponsesCounter);
       bool drained = false;
       {
         const std::lock_guard<std::mutex> lock(in_flight_mutex);
@@ -569,17 +568,15 @@ int run(int argc, char** argv) {
   config.id_prefix = id_prefix;
   config.mix_seed = static_cast<std::uint64_t>(mix_seed);
 
-  heartbeat::ProgressCounters progress;
-  std::optional<heartbeat::HeartbeatWriter> beat_writer;
+  std::optional<heartbeat::PeriodicWriter> beat_writer;
   if (!heartbeat_path.empty()) {
-    if (max_requests > 0) {
-      progress.set_jobs_total(max_requests);
-    } else if (qps > 0.0) {
-      progress.set_jobs_total(
-          static_cast<std::int64_t>(qps * duration));
-    }
-    config.progress = &progress;
-    beat_writer.emplace(heartbeat_path, 0, 1, progress);
+    metrics::set_enabled(true);
+    const std::int64_t jobs_total =
+        max_requests > 0 ? max_requests
+                         : static_cast<std::int64_t>(qps * duration);
+    beat_writer.emplace(heartbeat_path, 200.0,
+                        heartbeat::heartbeat_render(
+                            0, 1, jobs_total, {{kResponsesCounter}, "", ""}));
   }
 
   const Timer clock;

@@ -221,8 +221,8 @@ int run(int argc, char** argv) {
   const std::string& trace_path = cli.add_string(
       "trace", "",
       "write a Chrome-trace JSON (schema npd.trace/1, loadable in "
-      "Perfetto / chrome://tracing) of this run's spans and counters; "
-      "the report bytes are identical with or without it");
+      "Perfetto / chrome://tracing) of this run's spans; the report "
+      "bytes are identical with or without it");
   const std::string& metrics_path = cli.add_string(
       "metrics", "",
       "write an npd.metrics/1 snapshot (counters, gauges, latency "
@@ -249,11 +249,13 @@ int run(int argc, char** argv) {
   cli.parse(argc, argv);
 
   // Enable tracing/metrics before any instrumented thread exists (the
-  // worker pool observes the flags when it starts running jobs).
+  // worker pool observes the flags when it starts running jobs).  The
+  // heartbeat is a projection of the metrics registry, so it needs the
+  // registry on too.
   if (!trace_path.empty()) {
     trace::set_enabled(true);
   }
-  if (!metrics_path.empty()) {
+  if (!metrics_path.empty() || !heartbeat_path.empty()) {
     metrics::set_enabled(true);
   }
   if (heartbeat_interval_ms < 1) {
@@ -323,23 +325,25 @@ int run(int argc, char** argv) {
       job_indices.push_back(j);
     }
   }
-  // Live progress feed: counters updated by the workers, written to the
-  // heartbeat file by a background thread (temp+rename, so readers never
-  // see a torn write).  Purely observational — the run computes the same
-  // bytes with or without it.
-  heartbeat::ProgressCounters progress;
-  std::optional<heartbeat::HeartbeatWriter> beat_writer;
+  // Live progress feed: the workers' registry counters, projected into
+  // the heartbeat file by a background thread (temp+rename, so readers
+  // never see a torn write).  Purely observational — the run computes
+  // the same bytes with or without it.
+  std::optional<heartbeat::PeriodicWriter> beat_writer;
   if (!heartbeat_path.empty()) {
-    beat_writer.emplace(heartbeat_path, spec.index, spec.count, progress,
-                        static_cast<int>(heartbeat_interval_ms));
+    beat_writer.emplace(
+        heartbeat_path, static_cast<double>(heartbeat_interval_ms),
+        heartbeat::heartbeat_render(
+            spec.index, spec.count,
+            static_cast<std::int64_t>(job_indices.size()),
+            {{"jobs.executed", "jobs.replayed"}, "cache.hits",
+             "cache.misses"}));
   }
 
   const shard::RunJobsOutcome outcome = [&] {
     const trace::Span span("run_jobs");
-    return shard::run_jobs(
-        plan, job_indices, request.config.threads,
-        cache.has_value() ? &*cache : nullptr,
-        beat_writer.has_value() ? &progress : nullptr);
+    return shard::run_jobs(plan, job_indices, request.config.threads,
+                           cache.has_value() ? &*cache : nullptr);
   }();
 
   // Deterministic fault injection for the launcher's restart tests: the

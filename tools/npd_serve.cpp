@@ -21,28 +21,21 @@
 
 #include <atomic>
 #include <cerrno>
-#include <chrono>
-#include <condition_variable>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <exception>
-#include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
-#include <utility>
 
 #include "engine/builtin_scenarios.hpp"
 #include "serve/server.hpp"
 #include "tool_common.hpp"
 #include "util/cli.hpp"
-#include "util/file.hpp"
 #include "util/heartbeat.hpp"
 #include "util/metrics.hpp"
 #include "util/profiler.hpp"
 #include "util/timer.hpp"
-#include "util/trace.hpp"
 
 namespace {
 
@@ -77,58 +70,6 @@ void write_fully(int fd, const std::string& text) {
     written += static_cast<std::size_t>(n);
   }
 }
-
-/// Background thread that rewrites an `npd.metrics/1` snapshot file on
-/// a fixed cadence (temp+rename, so a watcher never reads a torn
-/// write).  Same shape as `heartbeat::HeartbeatWriter`: purely
-/// observational, a final snapshot on `stop()`, joined before exit.
-class PeriodicMetricsWriter {
- public:
-  PeriodicMetricsWriter(std::string path, double interval_ms)
-      : path_(std::move(path)), interval_ms_(interval_ms) {
-    thread_ = std::thread([this] { loop(); });
-  }
-
-  ~PeriodicMetricsWriter() { stop(); }
-  PeriodicMetricsWriter(const PeriodicMetricsWriter&) = delete;
-  PeriodicMetricsWriter& operator=(const PeriodicMetricsWriter&) = delete;
-
-  void stop() {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (stopped_) {
-        return;
-      }
-      stopped_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-    write_snapshot();  // final state, after the server drained
-  }
-
- private:
-  void loop() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    while (!stopped_) {
-      write_snapshot();
-      cv_.wait_for(
-          lock, std::chrono::duration<double, std::milli>(interval_ms_),
-          [this] { return stopped_; });
-    }
-  }
-
-  void write_snapshot() {
-    (void)write_file_atomically(
-        path_, metrics::snapshot_json(metrics::snapshot()).dump(2));
-  }
-
-  std::string path_;
-  double interval_ms_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  bool stopped_ = false;
-  std::thread thread_;
-};
 
 /// Parent side of --daemonize: read the child's readiness line ("ok
 /// <port>" or "err <message>") and relay it.
@@ -201,9 +142,6 @@ int run(int argc, char** argv) {
   const long long& heartbeat_interval_ms = cli.add_int(
       "heartbeat-interval-ms", 200,
       "how often --heartbeat rewrites its file");
-  const std::string& trace_path = cli.add_string(
-      "trace", "", "write a Chrome-trace JSON (schema npd.trace/1) of "
-      "the serve counters/spans at shutdown");
   const std::string& metrics_path = cli.add_string(
       "metrics", "", "write an npd.metrics/1 snapshot (request "
       "counters, queue-depth gauge, latency histograms) at shutdown");
@@ -266,11 +204,9 @@ int run(int argc, char** argv) {
   }
 
   install_signal_handlers();
-  if (!trace_path.empty()) {
-    trace::set_enabled(true);
-  }
-  // The daemon always records metrics: the live `op:"stats"` request
-  // reads them, with or without a --metrics file to export at shutdown.
+  // The daemon always records metrics: the live `op:"stats"` request,
+  // the heartbeat and the end-of-run line read them, with or without a
+  // --metrics file to export at shutdown.
   metrics::set_enabled(true);
   bool profiling = false;
   if (!profile_path.empty()) {
@@ -285,8 +221,6 @@ int run(int argc, char** argv) {
   engine::ScenarioRegistry registry;
   engine::register_builtin_scenarios(registry);
 
-  heartbeat::ProgressCounters progress;
-
   serve::ServerOptions options;
   options.unix_path = socket_path;
   options.tcp_port = static_cast<int>(tcp_port);
@@ -298,12 +232,6 @@ int run(int argc, char** argv) {
   options.max_requests = max_requests;
   options.idle_timeout_ms = idle_timeout_ms;
   options.external_stop = &g_stop;
-  if (!heartbeat_path.empty()) {
-    if (max_requests > 0) {
-      progress.set_jobs_total(max_requests);
-    }
-    options.progress = &progress;
-  }
 
   serve::Server server(registry, options);
   try {
@@ -321,14 +249,22 @@ int run(int argc, char** argv) {
       return 1;
     }
   }
-  std::optional<heartbeat::HeartbeatWriter> beat_writer;
+  // Solve responses count as jobs done, design-cache hits/misses fill
+  // the cache fields.
+  std::optional<heartbeat::PeriodicWriter> beat_writer;
   if (!heartbeat_path.empty()) {
-    beat_writer.emplace(heartbeat_path, 0, 1, progress,
-                        static_cast<int>(heartbeat_interval_ms));
+    beat_writer.emplace(
+        heartbeat_path, static_cast<double>(heartbeat_interval_ms),
+        heartbeat::heartbeat_render(0, 1, max_requests,
+                                    {{"serve.requests"},
+                                     "serve.design_cache.hit",
+                                     "serve.design_cache.miss"}));
   }
-  std::optional<PeriodicMetricsWriter> metrics_writer;
+  std::optional<heartbeat::PeriodicWriter> metrics_writer;
   if (metrics_interval_ms > 0.0) {
-    metrics_writer.emplace(metrics_path, metrics_interval_ms);
+    metrics_writer.emplace(metrics_path, metrics_interval_ms, [](bool) {
+      return metrics::snapshot_json(metrics::snapshot()).dump(2);
+    });
   }
 
   if (ready_fd >= 0) {
@@ -385,28 +321,17 @@ int run(int argc, char** argv) {
     }
   }
   if (!quiet) {
-    const serve::ServiceCounters& counters = server.counters();
+    const metrics::MetricsSnapshot totals = metrics::snapshot();
     (void)std::fprintf(
         stderr,
         "npd_serve: %lld responses, %lld batches, %lld jobs, design "
         "cache %lld hits / %lld misses, %.2f s\n",
         static_cast<long long>(responses),
-        static_cast<long long>(counters.batches.load()),
-        static_cast<long long>(counters.jobs.load()),
-        static_cast<long long>(counters.design_cache_hits.load()),
-        static_cast<long long>(counters.design_cache_misses.load()),
+        static_cast<long long>(totals.counter("serve.batches")),
+        static_cast<long long>(totals.counter("serve.jobs")),
+        static_cast<long long>(totals.counter("serve.design_cache.hit")),
+        static_cast<long long>(totals.counter("serve.design_cache.miss")),
         timer.elapsed_seconds());
-  }
-  if (!trace_path.empty()) {
-    const trace::TraceSnapshot snapshot = trace::flush();
-    if (!tools::write_output(trace::chrome_trace_json(snapshot).dump(2),
-                             trace_path)) {
-      return 1;
-    }
-    if (!quiet) {
-      (void)std::fprintf(stderr, "[trace written to %s]\n",
-                         trace_path.c_str());
-    }
   }
   return 0;
 }
