@@ -24,8 +24,8 @@
 /// * **λ²** of the Gaussian query channel from the excess variance over
 ///   the binomial pool-sum variance.
 ///
-/// These estimators feed the channel-aware centering and the AMP
-/// preprocessing when the true constants are unavailable.
+/// No `src/` file includes this header; its callers are
+/// `examples/parameter_estimation.cpp` and `tests/noise_test.cpp`.
 
 #include <span>
 

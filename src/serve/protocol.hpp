@@ -53,7 +53,6 @@ namespace npd::serve {
 
 inline constexpr std::string_view kRequestSchema = "npd.request/1";
 inline constexpr std::string_view kResponseSchema = "npd.response/1";
-inline constexpr std::string_view kStatsSchema = "npd.serve_stats/1";
 
 /// Request verbs.  `Ping` answers without touching the engine (a
 /// readiness probe); `Shutdown` asks the daemon to drain and exit;

@@ -21,7 +21,7 @@
 ///   * **Off by default, near-zero when off**: every entry point first
 ///     checks one relaxed atomic (the serving daemon turns the registry
 ///     on unconditionally; `npd_run` only under `--metrics` or
-///     `--heartbeat`, `npd_loadgen` only under `--heartbeat`).
+///     `--heartbeat`).
 ///   * **Lock-free thread-local shards**: each metric owns one atomic
 ///     cell per touching thread.  A thread resolves `name → cell`
 ///     through a thread-local cache (registry mutex on first touch per

@@ -1,15 +1,16 @@
 // Tests for the serving subsystem (src/serve + the util/socket framing):
 // protocol parsing and the derived-seed contract, the LRU design cache,
 // the Service's bit-identity with the offline engine (solo, batched,
-// across thread counts), error isolation inside a micro-batch, the
-// length-prefixed framing over a socketpair, and the load-generator's
-// latency statistics.
+// across thread counts), error isolation inside a micro-batch, and the
+// length-prefixed framing over a socketpair.
 //
 // The daemon/socket integration (real processes, real sockets, killed
 // clients) lives in the tools.serve_roundtrip ctest; these tests pin the
 // library-level contracts the daemon is built from, plus the in-process
 // daemon's resilience to malformed frames (truncated/oversize headers,
-// non-JSON payloads, unknown ops).
+// non-JSON payloads, unknown ops), the send order of pipelined solve
+// responses, and a closed-loop throughput floor at the daemon's default
+// options.
 
 #include <gtest/gtest.h>
 
@@ -17,11 +18,13 @@
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/builtin_scenarios.hpp"
@@ -30,10 +33,10 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
-#include "serve/stats.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/socket.hpp"
+#include "util/timer.hpp"
 
 namespace npd::serve {
 namespace {
@@ -223,6 +226,7 @@ class MetricsRegistryTest : public ::testing::Test {
 };
 using ServiceTest = MetricsRegistryTest;
 using ServerStatsTest = MetricsRegistryTest;
+using ServerLoadTest = MetricsRegistryTest;
 
 Request solve_request(const std::string& id, std::uint64_t seed,
                       const std::string& params = "n_lo=60;n_hi=60",
@@ -371,30 +375,46 @@ std::string test_socket_path() {
          std::to_string(++counter) + ".sock";
 }
 
-ServerOptions harness_options(const std::string& path) {
+/// One worker thread, no batching: the malformed-input and stats tests'
+/// daemon.
+ServerOptions unbatched_options() {
   ServerOptions options;
-  options.unix_path = path;
   options.threads = 1;
   options.batch_max = 1;
   return options;
 }
 
+ServerOptions listening_on(ServerOptions options, const std::string& path) {
+  options.unix_path = path;
+  return options;
+}
+
 /// An in-process daemon on a fresh Unix socket: `start()` in the
 /// constructor (so connects never race the listener), `run()` on a
-/// background thread, drained shutdown in the destructor.
+/// background thread, drained shutdown in `drain()` or the destructor.
 struct ServerHarness {
   std::string path = test_socket_path();
-  Server server{test_registry(), harness_options(path)};
+  Server server;
   std::thread runner;
 
-  ServerHarness() {
+  explicit ServerHarness(ServerOptions options = unbatched_options())
+      : server(test_registry(), listening_on(std::move(options), path)) {
     server.start();
     runner = std::thread([this] { (void)server.run(); });
   }
   ~ServerHarness() {
-    server.request_shutdown();
-    runner.join();
+    (void)drain();
     ::unlink(path.c_str());
+  }
+
+  /// Shut down and join the daemon; returns the solve responses it sent
+  /// (final: `run()` counts a response only after writing it).
+  std::int64_t drain() {
+    if (runner.joinable()) {
+      server.request_shutdown();
+      runner.join();
+    }
+    return server.responses_sent();
   }
 };
 
@@ -539,86 +559,89 @@ TEST_F(ServerStatsTest, QueueDepthGaugeDrainsWithTheQueue) {
             kConnections * kPerConnection);
 }
 
-// ------------------------------------------------------------- load stats
+// ------------------------------------------------- pipelining and load
 
-TEST(StatsTest, NearestRankPercentiles) {
-  LatencyRecorder recorder;
-  for (int ms = 1; ms <= 100; ++ms) {
-    recorder.record(ms / 1000.0);
-  }
-  EXPECT_EQ(recorder.count(), 100);
-  EXPECT_NEAR(recorder.percentile_ms(0.50), 50.0, 1e-9);
-  EXPECT_NEAR(recorder.percentile_ms(0.95), 95.0, 1e-9);
-  EXPECT_NEAR(recorder.percentile_ms(0.99), 99.0, 1e-9);
-  EXPECT_NEAR(recorder.percentile_ms(1.0), 100.0, 1e-9);
-  EXPECT_EQ(LatencyRecorder{}.percentile_ms(0.5), 0.0);
+/// One small solve (n = 40, one rep): cheap enough that the daemon, not
+/// the solver, sets the throughput.
+Json load_request_doc(const std::string& id) {
+  Json doc = solve_request_doc(id);
+  doc.set("params", "n_lo=40;n_hi=40").set("reps", std::int64_t{1});
+  return doc;
 }
 
-TEST(StatsTest, MergeFoldsSamples) {
-  LatencyRecorder a;
-  LatencyRecorder b;
-  a.record(0.001);
-  b.record(0.003);
-  b.record(0.005);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 3);
-  EXPECT_NEAR(a.percentile_ms(1.0), 5.0, 1e-9);
+TEST_F(ServerLoadTest, PipelinedSolvesAnswerInSendOrder) {
+  // Daemon defaults: micro-batches fan over the worker pool, yet one
+  // connection's solve responses still leave in the order they arrived.
+  ServerHarness harness(ServerOptions{});
+  constexpr int kRequests = 20;
+  const net::Fd client = net::connect_unix(harness.path);
+  for (int k = 0; k < kRequests; ++k) {
+    ASSERT_TRUE(net::write_frame(
+        client, load_request_doc("order-" + std::to_string(k)).dump()));
+  }
+  for (int k = 0; k < kRequests; ++k) {
+    const std::optional<std::string> reply = net::read_frame(client);
+    ASSERT_TRUE(reply.has_value()) << "response " << k;
+    const Json response = Json::parse(*reply);
+    EXPECT_EQ(response.at("status").as_string(), "ok");
+    EXPECT_EQ(response.at("id").as_string(), "order-" + std::to_string(k))
+        << "wire position " << k;
+  }
+  EXPECT_EQ(harness.drain(), kRequests);
 }
 
-TEST(StatsTest, StatsJsonShapeAndHistogramTotal) {
-  LoadStats stats;
-  stats.mode = "closed";
-  stats.concurrency = 4;
-  stats.duration_seconds = 2.0;
-  stats.requests = 3;
-  stats.ok = 3;
-  for (double s : {0.0005, 0.002, 5.0}) {
-    stats.latency.record(s);
+TEST_F(ServerLoadTest, ClosedLoopThroughputAtDaemonDefaults) {
+  // Eight connections, each keeping one small solve in flight, against
+  // a daemon at npd_serve's default options.
+  constexpr int kClients = 8;
+  constexpr int kPerClient = 250;
+  ServerHarness harness(ServerOptions{});
+  std::vector<int> answered(kClients, 0);
+  std::vector<std::string> failure(kClients);
+  const Timer clock;
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      const std::size_t slot = static_cast<std::size_t>(c);
+      try {
+        const net::Fd fd = net::connect_unix(harness.path);
+        for (int k = 0; k < kPerClient; ++k) {
+          const std::string id =
+              "load-" + std::to_string(c) + "-" + std::to_string(k);
+          const std::optional<Json> response =
+              round_trip(fd, load_request_doc(id).dump());
+          if (!response.has_value() ||
+              response->at("status").as_string() != "ok" ||
+              response->at("id").as_string() != id) {
+            failure[slot] = "no ok response echoing " + id;
+            return;
+          }
+          ++answered[slot];
+        }
+      } catch (const std::exception& error) {
+        failure[slot] = error.what();
+      }
+    });
   }
-  const Json doc = serve_stats_json(stats);
-  EXPECT_EQ(doc.at("schema").as_string(), kStatsSchema);
-  EXPECT_EQ(doc.at("requests").as_int(), 3);
-  EXPECT_NEAR(doc.at("throughput_rps").as_double(), 1.5, 1e-9);
-  EXPECT_EQ(doc.at("latency_ms").at("count").as_int(), 3);
-
-  // Histogram buckets are non-cumulative and cover everything: their
-  // counts sum to the sample count (the 5 s sample lands in a finite
-  // 1-2-5 bucket; the null bucket catches only > 10 s).
-  const Json& histogram = doc.at("histogram");
-  std::int64_t total = 0;
-  for (Index i = 0; i < static_cast<Index>(histogram.size()); ++i) {
-    total += histogram.at(i).at("count").as_int();
+  for (std::thread& client : clients) {
+    client.join();
   }
-  EXPECT_EQ(total, 3);
-  EXPECT_TRUE(histogram.at(histogram.size() - 1).at("le_ms").is_null());
-}
+  const double elapsed_s = clock.elapsed_seconds();
+  for (int c = 0; c < kClients; ++c) {
+    const std::size_t slot = static_cast<std::size_t>(c);
+    EXPECT_EQ(answered[slot], kPerClient)
+        << "client " << c << ": " << failure[slot];
+  }
+  EXPECT_EQ(harness.drain(), kClients * kPerClient);
 
-TEST(StatsTest, TimelineBucketsBySecondAndMerges) {
-  TimelineRecorder a;
-  a.record(0.2, 0.001);
-  a.record(0.9, 0.003);
-  a.record(2.1, 0.010);  // second 1 completed nothing — stays sparse
-  TimelineRecorder b;
-  b.record(0.5, 0.005);
-  a.merge(b);
-
-  const Json timeline = a.timeline_json();
-  ASSERT_EQ(timeline.size(), 2u);
-  const Json& first = timeline.at(0);
-  EXPECT_EQ(first.at("second").as_int(), 0);
-  EXPECT_EQ(first.at("requests").as_int(), 3);
-  EXPECT_NEAR(first.at("p50_ms").as_double(), 3.0, 1e-9);
-  EXPECT_NEAR(first.at("p99_ms").as_double(), 5.0, 1e-9);
-  const Json& second = timeline.at(1);
-  EXPECT_EQ(second.at("second").as_int(), 2);
-  EXPECT_EQ(second.at("requests").as_int(), 1);
-  EXPECT_NEAR(second.at("p99_ms").as_double(), 10.0, 1e-9);
-
-  // The timeline rides inside npd.serve_stats/1.
-  LoadStats stats;
-  stats.timeline = a;
-  const Json doc = serve_stats_json(stats);
-  EXPECT_EQ(doc.at("timeline").size(), 2u);
+  const double rate = kClients * kPerClient / elapsed_s;
+  std::printf("closed loop: %d requests in %.3f s, %.0f req/s\n",
+              kClients * kPerClient, elapsed_s, rate);
+#if defined(NDEBUG) && !defined(NPD_SANITIZED_BUILD)
+  // Optimized, uninstrumented builds only: debug and sanitizer builds
+  // run the correctness half above.
+  EXPECT_GE(rate, 1000.0);
+#endif
 }
 
 }  // namespace

@@ -15,6 +15,8 @@
 #      plus at least one response proving a micro-batch actually formed
 #      (perf.batch_requests >= 2) and an unknown-scenario request in the
 #      middle answered with status "error" without hurting neighbours,
+#      and a repeated request id whose two responses each pair with
+#      their own request (the echoed explicit seeds 7 then 8),
 #   5. probe B with op:"stats" — answered on the reader thread with a
 #      live npd.metrics/1 snapshot whose serve.latency_seconds
 #      histogram saw the burst — then drain both daemons with
@@ -130,7 +132,8 @@ file(WRITE "${WORK_DIR}/req_burst.json"
 {\"schema\":\"npd.request/1\",\"id\":\"burst-1\",\"scenario\":\"solver_sweep\",\"params\":\"${REQ_PARAMS}\"},
 {\"schema\":\"npd.request/1\",\"id\":\"burst-2\",\"scenario\":\"solver_sweep\",\"params\":\"n_lo=60;n_hi=60\"},
 {\"schema\":\"npd.request/1\",\"id\":\"burst-bad\",\"scenario\":\"no_such_scenario\"},
-{\"schema\":\"npd.request/1\",\"id\":\"burst-3\",\"scenario\":\"solver_sweep\",\"params\":\"${REQ_PARAMS}\",\"seed\":7}]\n")
+{\"schema\":\"npd.request/1\",\"id\":\"burst-3\",\"scenario\":\"solver_sweep\",\"params\":\"${REQ_PARAMS}\",\"seed\":7},
+{\"schema\":\"npd.request/1\",\"id\":\"burst-3\",\"scenario\":\"solver_sweep\",\"params\":\"${REQ_PARAMS}\",\"seed\":8}]\n")
 run_checked(burst "${NPD_LOADGEN}" --socket "${SOCK_B}"
   --probe "${WORK_DIR}/req_burst.json" --out "${WORK_DIR}/resp_burst.json"
   --extract-report "${WORK_DIR}/report_served_b.json"
@@ -157,8 +160,15 @@ if(NOT neighbour_status STREQUAL "ok" OR NOT explicit_seed EQUAL 7)
   message(FATAL_ERROR "explicit-seed neighbour: status "
     "'${neighbour_status}', seed ${explicit_seed}")
 endif()
+# The same id again: each response pairs with its own request.
+json_field(repeat_seed "${WORK_DIR}/resp_burst.json" 5 seed)
+if(NOT repeat_seed EQUAL 8)
+  message(FATAL_ERROR "repeated id burst-3: entry 5 echoes seed "
+    "${repeat_seed}, expected 8")
+endif()
 message(STATUS
-  "burst: micro-batch of ${burst_batch}, error isolated, seeds echoed")
+  "burst: micro-batch of ${burst_batch}, error isolated, seeds echoed "
+  "per request under a repeated id")
 
 # 4b. Live introspection: op:"stats" on B is answered on the reader
 #     thread with the daemon's uptime/queue block and a full
